@@ -4,9 +4,9 @@
 The perf-smoke CI job re-runs the ``--quick`` benchmarks and hands their
 JSON output here next to the baseline committed at the repo root.  Every
 numeric *throughput* field — a leaf whose name ends in ``_per_s`` or is
-``speedup``/``streaming_speedup`` (higher is better) — is compared, and
-any regression beyond the threshold (default 30%) emits a warning in
-GitHub's ``::warning::`` annotation format.  The gate *warns* rather than
+``speedup`` (higher is better) — is compared, and any regression beyond
+the threshold (default 30%) emits a warning in GitHub's ``::warning::``
+annotation format.  The gate *warns* rather than
 fails by default because shared CI runners are noisy; pass ``--fail`` to
 turn every regression into a non-zero exit (e.g. for release branches or
 a quiet benchmarking host), or ``--fail-match REGEX`` to fail only on
@@ -28,7 +28,7 @@ import re
 import sys
 
 #: Leaf names treated as higher-is-better throughput metrics.
-_SPEEDUP_NAMES = frozenset({"speedup", "streaming_speedup"})
+_SPEEDUP_NAMES = frozenset({"speedup"})
 
 
 def throughput_fields(payload, prefix: str = "") -> "dict[str, float]":

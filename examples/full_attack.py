@@ -22,10 +22,10 @@ import time
 
 import numpy as np
 
-from repro.attacks import CpaAttack, full_key_ranks
+from repro.attacks.distinguishers import CpaDistinguisher
 from repro.config import default_config
 from repro.evaluation import match_hits
-from repro.evaluation.experiments import default_tolerance
+from repro.evaluation.experiments import aligned_attack_set, default_tolerance
 from repro.runtime import ExperimentEngine, ScenarioSpec
 
 
@@ -62,21 +62,14 @@ def main() -> None:
     stats = match_hits(located, session.true_starts, default_tolerance(config))
     print(f"  located {located.size}/{args.cos} COs "
           f"({stats.hit_rate * 100:.1f}% hits) in {time.perf_counter() - t0:.0f}s")
-    segments, kept = locator.align(session.trace, starts=located)
-
     # Pair each aligned segment with the plaintext of the matching true CO.
-    located_kept = located[kept]
-    nearest = np.abs(
-        located_kept[:, None] - session.true_starts[None, :]
-    ).argmin(axis=1)
-    plaintexts = np.frombuffer(
-        b"".join(session.plaintexts[i] for i in nearest), dtype=np.uint8
-    ).reshape(-1, 16)
+    segments, plaintexts = aligned_attack_set(locator, session, located)
 
     print("[4/4] mounting the CPA on the sub-bytes intermediate ...")
-    attack = CpaAttack(aggregate=args.aggregate)
-    recovered = attack.recovered_key(segments, plaintexts)
-    ranks = full_key_ranks(segments, plaintexts, session.key, aggregate=args.aggregate)
+    cpa = CpaDistinguisher(aggregate=args.aggregate)
+    attack = cpa.batch(segments, plaintexts)
+    recovered = attack.recovered_key()
+    ranks = attack.key_ranks(session.key)
     print(f"  true key      : {session.key.hex()}")
     print(f"  recovered key : {recovered.hex()}")
     print(f"  per-byte ranks: {ranks}")
@@ -92,7 +85,7 @@ def main() -> None:
     blind_pts = np.frombuffer(
         b"".join(session.plaintexts[: blind_segments.shape[0]]), dtype=np.uint8
     ).reshape(-1, 16)
-    blind = CpaAttack(aggregate=args.aggregate).recovered_key(blind_segments, blind_pts)
+    blind = cpa.batch(blind_segments, blind_pts).recovered_key()
     blind_correct = sum(a == b for a, b in zip(blind, session.key))
     print(f"  unaligned CPA recovers {blind_correct}/16 bytes "
           "(random delay defeats the attack without the locator)")

@@ -30,8 +30,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.attacks import CpaAttack
-from repro.attacks.distinguishers import DistinguisherSpec, masked_aes_windows
+from repro.attacks.distinguishers import (
+    CpaDistinguisher,
+    DistinguisherSpec,
+    masked_aes_windows,
+)
 from repro.evaluation import format_campaign
 from repro.runtime import AttackCampaign, ParallelCampaign, PlatformCampaignSpec, PlatformSegmentSource
 from repro.soc import SimulatedPlatform
@@ -61,7 +64,7 @@ def main() -> int:
     traces, pts = platform.capture_attack_segments(
         args.traces, key=key, segment_length=segment_length
     )
-    recovered = CpaAttack().recovered_key(traces, pts)
+    recovered = CpaDistinguisher().batch(traces, pts).recovered_key()
     correct = sum(a == b for a, b in zip(recovered, key))
     print(f"first-order CPA over {args.traces} traces: "
           f"{correct}/16 key bytes (masking holds)")

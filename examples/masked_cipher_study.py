@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro.attacks import full_key_ranks
 from repro.config import default_config
 from repro.core.locator import CryptoLocator
 from repro.evaluation import match_hits
-from repro.evaluation.experiments import default_tolerance
+from repro.evaluation.experiments import aligned_attack_set, default_tolerance
 from repro.soc import SimulatedPlatform
 
 
@@ -46,15 +44,8 @@ def main() -> None:
     print(f"  {stats}")
 
     print("[3/3] sanity check: first-order CPA on the aligned masked traces ...")
-    segments, kept = locator.align(session.trace, starts=located)
+    segments, pts = aligned_attack_set(locator, session, located)
     if segments.shape[0] >= 8:
-        located_kept = located[kept]
-        nearest = np.abs(
-            located_kept[:, None] - session.true_starts[None, :]
-        ).argmin(axis=1)
-        pts = np.frombuffer(
-            b"".join(session.plaintexts[i] for i in nearest), dtype=np.uint8
-        ).reshape(-1, 16)
         ranks = full_key_ranks(segments, pts, session.key, aggregate=64)
         rank1 = sum(r == 1 for r in ranks)
         print(f"  key-byte ranks: {ranks}")

@@ -6,8 +6,9 @@ Demonstrates the process-parallel campaign layer end to end:
 1. a campaign's trace budget is cut into deterministically seeded shards
    (:func:`~repro.runtime.parallel.plan_shards`) and fanned out over a
    process pool; each worker captures its shard on its own platform,
-   accumulates it into an :class:`~repro.campaign.online.OnlineCpa`, and
-   persists it to its own trace-store shard directory;
+   accumulates it into a
+   :class:`~repro.attacks.distinguishers.CpaDistinguisher`, and persists
+   it to its own trace-store shard directory;
 2. the parent merges the workers' sufficient statistics at every
    shard-aligned checkpoint — ``merge`` is exact algebra, so the merged
    campaign reports the *same key ranks* as a serial campaign over the

@@ -4,16 +4,15 @@
 Demonstrates the campaign subsystem end to end on the simulated platform:
 
 1. a fixed-key campaign streams capture batches into a constant-memory
-   :class:`~repro.campaign.online.OnlineCpa` accumulator and an on-disk
+   :class:`~repro.attacks.distinguishers.CpaDistinguisher` and an on-disk
    :class:`~repro.campaign.store.TraceStore`, evaluating key ranks at
    geometric checkpoints and stopping early once every byte holds rank 1;
 2. the process then "crashes" (we simply build a new campaign object) and
    *resumes* from the half-written store — the persisted chunks are
    replayed into a fresh accumulator and capture continues where the
    store left off;
-3. the recovered correlation statistics are compared against the batch
-   CPA over the store's full contents, showing the streaming path is
-   exact, not approximate.
+3. the recovered key is compared against a one-shot CPA over the store's
+   full contents, showing the streamed statistics match a single batch.
 
 Memory never grows with the trace count: a million-trace campaign holds
 the same sufficient statistics as this small one.
@@ -25,9 +24,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from repro.attacks import CpaAttack
+from repro.attacks.distinguishers import CpaDistinguisher
 from repro.campaign import TraceStore
 from repro.evaluation import format_campaign
 from repro.runtime import AttackCampaign, PlatformSegmentSource
@@ -81,9 +78,9 @@ def main() -> None:
               "batch CPA ...")
         store = TraceStore.open(store_dir)
         traces, plaintexts = store.load()
-        batch_key = CpaAttack(aggregate=args.aggregate).recovered_key(
+        batch_key = CpaDistinguisher(aggregate=args.aggregate).batch(
             traces, plaintexts
-        )
+        ).recovered_key()
         assert batch_key == result.recovered_key
         print(f"      batch CPA over all {len(store)} stored traces agrees: "
               f"{batch_key.hex()}")

@@ -10,10 +10,10 @@ The package is organised in layers:
 * :mod:`repro.core` — the paper's contribution: dataset creation, the 1D
   ResNet classifier, sliding-window classification, segmentation, alignment,
   and the end-to-end :class:`~repro.core.locator.CryptoLocator`;
-* :mod:`repro.attacks` — CPA/DPA and key-rank evaluation;
-* :mod:`repro.campaign` — streaming attack primitives: constant-memory
-  online CPA/DPA accumulators and the on-disk
-  :class:`~repro.campaign.store.TraceStore`;
+* :mod:`repro.attacks` — streaming, mergeable distinguishers (CPA, DPA,
+  second-order CPA, LRA) and key-rank evaluation;
+* :mod:`repro.campaign` — the on-disk
+  :class:`~repro.campaign.store.TraceStore` campaigns stream into;
 * :mod:`repro.baselines` — the state-of-the-art locators the paper compares
   against (matched filter [10], semi-automatic [11]);
 * :mod:`repro.evaluation` — hit-rate scoring and experiment harnesses;

@@ -397,7 +397,8 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     """``repro attack``: locate, align, and run the CPA key recovery."""
-    from repro.attacks import CpaAttack
+    from repro.attacks.distinguishers import CpaDistinguisher
+    from repro.evaluation.experiments import aligned_attack_set
 
     locator = _load_locator(args)
     target = SimulatedPlatform(args.cipher, max_delay=args.rd, seed=args.seed + 100)
@@ -405,18 +406,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
         args.cos, noise_interleaved=not args.consecutive
     )
     located = locator.locate(session.trace)
-    segments, kept = locator.align(session.trace, starts=located)
+    segments, plaintexts = aligned_attack_set(locator, session, located)
     if segments.shape[0] < 8:
         print("not enough located COs for a CPA", file=sys.stderr)
         return 1
-    located_kept = located[kept]
-    nearest = np.abs(
-        located_kept[:, None] - session.true_starts[None, :]
-    ).argmin(axis=1)
-    plaintexts = np.frombuffer(
-        b"".join(session.plaintexts[i] for i in nearest), dtype=np.uint8
-    ).reshape(-1, 16)
-    recovered = CpaAttack(aggregate=args.aggregate).recovered_key(segments, plaintexts)
+    attack = CpaDistinguisher(aggregate=args.aggregate)
+    recovered = attack.batch(segments, plaintexts).recovered_key()
     correct = sum(a == b for a, b in zip(recovered, session.key))
     print(f"true key      : {session.key.hex()}")
     print(f"recovered key : {recovered.hex()}")
@@ -456,10 +451,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     distinguisher = _distinguisher_spec(args)
     if distinguisher is None:
         return 2
-    if not args.cpa or (args.distinguisher, args.leakage_model) == ("cpa", None):
-        # The historical batch HW-CPA path (bit-identical output) unless a
-        # non-default distinguisher was actually requested.
-        distinguisher = None
     plan = BatchPlan.sweep(
         ciphers=ciphers,
         max_delays=[int(r) for r in args.rds.split(",") if r.strip()],

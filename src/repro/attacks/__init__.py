@@ -3,10 +3,11 @@
 The paper validates its locator by mounting a Correlation Power Analysis
 (CPA [2]) on the sub-bytes intermediate of AES-128 after alignment
 (Section IV-C), with "a minor aggregation over time" to absorb residual
-misalignment and the random delay.  This subpackage provides that attack,
-a difference-of-means DPA [1] for comparison, the leakage hypothesis
-models, and the key-rank bookkeeping used to report the "number of COs to
-reach rank 1" column of Table II.
+misalignment and the random delay.  This subpackage provides that attack
+and its alternatives (difference-of-means DPA [1], second-order CPA, LRA)
+as streaming, mergeable distinguishers, the leakage hypothesis models, and
+the key-rank bookkeeping used to report the "number of COs to reach rank
+1" column of Table II.
 """
 
 from repro.attacks.leakage_models import (
@@ -14,11 +15,7 @@ from repro.attacks.leakage_models import (
     available_leakage_models,
     get_leakage_model,
     hw_byte,
-    sbox_output_hypotheses,
-    sbox_output_msb,
 )
-from repro.attacks.cpa import CpaAttack, cpa_byte_correlation
-from repro.attacks.dpa import dpa_byte_difference
 from repro.attacks.key_rank import (
     key_byte_rank,
     full_key_ranks,
@@ -49,11 +46,6 @@ __all__ = [
     "available_leakage_models",
     "get_leakage_model",
     "hw_byte",
-    "sbox_output_hypotheses",
-    "sbox_output_msb",
-    "CpaAttack",
-    "cpa_byte_correlation",
-    "dpa_byte_difference",
     "key_byte_rank",
     "full_key_ranks",
     "geometric_checkpoints",

@@ -1,141 +1,14 @@
-"""Correlation Power Analysis (Brier et al. [2]) on aligned CO segments.
+"""Former home of the batch CPA; first-order CPA is now a distinguisher.
 
-For every key-byte guess the Pearson correlation between the HW hypothesis
-and every trace sample is computed; the guess whose best sample achieves
-the highest |correlation| wins.  Section IV-C's "minor aggregation over
-time" is available through the ``aggregate`` parameter: consecutive samples
-are summed in non-overlapping boxcar windows before correlating, which
-accumulates leakage that random delay spreads over neighbouring positions.
+:class:`~repro.attacks.distinguishers.CpaDistinguisher` is the one CPA
+implementation: its ``batch()`` face is the one-shot attack, and
+:func:`~repro.attacks.key_rank.full_key_ranks` /
+:func:`~repro.attacks.key_rank.traces_to_rank1` run on it.  This module
+path remains only because the end-to-end benchmark's probe table
+(``perfbench/probes.py``) wraps ``repro.attacks.cpa.prepare_segments``;
+delete the module together with that probe.
 """
 
-from __future__ import annotations
+from repro.signalproc import prepare_segments  # noqa: F401  (probed name)
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.attacks.leakage_models import LeakageModel, get_leakage_model
-from repro.signalproc import prepare_segments
-
-__all__ = ["cpa_byte_correlation", "CpaAttack"]
-
-_EPS = 1e-12
-
-
-def cpa_byte_correlation(
-    traces: np.ndarray,
-    pt_bytes: np.ndarray,
-    model: str | LeakageModel = "hw",
-) -> np.ndarray:
-    """Correlation matrix ``(256, n_samples)`` for one key byte.
-
-    ``traces`` is ``(n, m)`` aligned power segments, ``pt_bytes`` the known
-    plaintext byte per trace; ``model`` names the leakage hypothesis
-    (:func:`repro.attacks.leakage_models.get_leakage_model`).  Samples or
-    hypotheses with zero variance get correlation 0.
-    """
-    traces = prepare_segments(traces)
-    n = traces.shape[0]
-    if n < 3:
-        raise ValueError("CPA needs at least 3 traces")
-    model = get_leakage_model(model) if isinstance(model, str) else model
-    hyps = model.hypotheses(pt_bytes)  # (n, 256)
-    if hyps.shape[0] != n:
-        raise ValueError("plaintext count does not match trace count")
-    h_c = hyps - hyps.mean(axis=0, keepdims=True)
-    t_c = traces - traces.mean(axis=0, keepdims=True)
-    h_norm = np.sqrt((h_c * h_c).sum(axis=0))           # (256,)
-    t_norm = np.sqrt((t_c * t_c).sum(axis=0))           # (m,)
-    cross = h_c.T @ t_c                                  # (256, m)
-    denom = h_norm[:, None] * t_norm[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denom > _EPS, cross / np.maximum(denom, _EPS), 0.0)
-    return np.clip(corr, -1.0, 1.0)
-
-
-@dataclass
-class CpaByteResult:
-    """Outcome of attacking a single key byte."""
-
-    best_guess: int
-    peak_correlation: float
-    guess_scores: np.ndarray  # (256,) max |corr| over samples per guess
-
-
-class CpaAttack:
-    """Full-key CPA on aligned segments (one S-box hypothesis per byte).
-
-    The number of key bytes is derived from the plaintext width, so the
-    same attack covers AES-128's 16 bytes and any other block width whose
-    per-byte leakage follows the S-box model.
-
-    Parameters
-    ----------
-    aggregate:
-        Boxcar aggregation width in samples (1 disables).  The paper uses a
-        minor aggregation to fix residual misalignment; under random delay
-        a width comparable to the accumulated jitter works best.
-    model:
-        Leakage model name (or instance) for the hypothesis — ``"hw"``
-        reproduces the classic Hamming-weight CPA.
-    """
-
-    def __init__(self, aggregate: int = 1, model: str | LeakageModel = "hw") -> None:
-        if aggregate < 1:
-            raise ValueError("aggregate must be >= 1")
-        self.aggregate = int(aggregate)
-        self.model = get_leakage_model(model) if isinstance(model, str) else model
-
-    def _prepare(self, traces: np.ndarray) -> np.ndarray:
-        return prepare_segments(traces, self.aggregate)
-
-    def attack_byte(
-        self, traces: np.ndarray, plaintexts: np.ndarray, byte_index: int
-    ) -> CpaByteResult:
-        """Attack one key byte; plaintexts is ``(n, n_bytes)`` uint8."""
-        plaintexts = _as_plaintext_matrix(plaintexts)
-        if not 0 <= byte_index < plaintexts.shape[1]:
-            raise ValueError(
-                f"byte_index must be in [0, {plaintexts.shape[1]})"
-            )
-        corr = cpa_byte_correlation(
-            self._prepare(traces), plaintexts[:, byte_index], self.model
-        )
-        scores = np.abs(corr).max(axis=1)
-        best = int(np.argmax(scores))
-        return CpaByteResult(
-            best_guess=best,
-            peak_correlation=float(scores[best]),
-            guess_scores=scores,
-        )
-
-    def attack(self, traces: np.ndarray, plaintexts: np.ndarray) -> list[CpaByteResult]:
-        """Attack every key byte the plaintext width implies."""
-        prepared = self._prepare(traces)
-        plaintexts = _as_plaintext_matrix(plaintexts)
-        results = []
-        for byte_index in range(plaintexts.shape[1]):
-            corr = cpa_byte_correlation(prepared, plaintexts[:, byte_index], self.model)
-            scores = np.abs(corr).max(axis=1)
-            best = int(np.argmax(scores))
-            results.append(
-                CpaByteResult(
-                    best_guess=best,
-                    peak_correlation=float(scores[best]),
-                    guess_scores=scores,
-                )
-            )
-        return results
-
-    def recovered_key(self, traces: np.ndarray, plaintexts: np.ndarray) -> bytes:
-        """The most likely key (one byte per plaintext column)."""
-        return bytes(result.best_guess for result in self.attack(traces, plaintexts))
-
-
-def _as_plaintext_matrix(plaintexts: np.ndarray) -> np.ndarray:
-    plaintexts = np.asarray(plaintexts, dtype=np.uint8)
-    if plaintexts.ndim != 2:
-        raise ValueError(
-            f"expected (n, n_bytes) plaintext matrix, got {plaintexts.shape}"
-        )
-    return plaintexts
+__all__: list[str] = []

@@ -198,8 +198,8 @@ def resolve_distinguisher(
 ) -> tuple[DistinguisherSpec | None, Distinguisher]:
     """Coerce a campaign's ``distinguisher`` argument into an accumulator.
 
-    Accepts ``None`` (first-order HW CPA with the given ``aggregate`` —
-    the historical default), a registry name, a :class:`DistinguisherSpec`
+    Accepts ``None`` (the default first-order HW CPA with the given
+    ``aggregate``), a registry name, a :class:`DistinguisherSpec`
     or a ready-built (empty) accumulator.  Returns ``(spec, accumulator)``
     — ``spec`` is ``None`` only for a pre-built instance, which cannot be
     shipped to pool workers.

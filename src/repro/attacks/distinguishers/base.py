@@ -74,10 +74,6 @@ class SufficientStatisticDistinguisher:
     name = ""
     #: Checkpoint tag stored in ``.npz`` state (subclass constant).
     _KIND = ""
-    #: Retired checkpoint tags of this distinguisher whose persisted
-    #: statistic layout is incompatible with the current one; loading one
-    #: fails with a versioning error instead of a type mismatch.
-    _LEGACY_KINDS: tuple[str, ...] = ()
     #: Statistic arrays to persist/merge-assign (subclass constant).
     _STATE_FIELDS: tuple[str, ...] = ()
     #: Fewest traces the recovered scores are defined for.
@@ -251,8 +247,7 @@ class SufficientStatisticDistinguisher:
         """Per-byte guess scores, shape ``(n_bytes, 256)``.
 
         The score of a guess is the max absolute value of its recovered
-        matrix row over the samples — the same statistic the batch attacks
-        rank by.
+        matrix row over the samples.
         """
         self._require_data(self.min_traces)
         return np.stack(
@@ -302,23 +297,14 @@ class SufficientStatisticDistinguisher:
     def load(cls, path):
         """Restore an accumulator saved by :meth:`save`."""
         with np.load(path) as state:
-            kind = str(state["kind"])
-            if kind in cls._LEGACY_KINDS:
+            if "kind" not in state.files or str(state["kind"]) != cls._KIND:
+                raise ValueError(f"{path} is not a {cls.__name__} checkpoint")
+            fields = {"config", "n", "n_bytes", "t_ref", *cls._STATE_FIELDS}
+            missing = sorted(fields.difference(state.files))
+            if missing:
                 raise ValueError(
-                    f"{path} is a {kind!r} checkpoint from before the "
-                    f"class-conditional statistics refactor (state layout "
-                    f"{cls._KIND!r} differs); re-create it by replaying "
-                    f"the campaign's trace store"
-                )
-            if kind != cls._KIND:
-                raise ValueError(
-                    f"{path} is not a {cls.__name__} checkpoint"
-                )
-            if "config" not in state.files:
-                raise ValueError(
-                    f"{path} is a pre-framework accumulator checkpoint "
-                    f"(no distinguisher config); re-create it by replaying "
-                    f"the campaign's trace store"
+                    f"{path} is an incomplete {cls.__name__} checkpoint "
+                    f"(missing {', '.join(missing)})"
                 )
             acc = cls(**json.loads(str(state["config"])))
             acc._n = int(state["n"][0])

@@ -39,7 +39,7 @@ from repro.attacks.leakage_models import LeakageModel, get_leakage_model
 
 __all__ = ["CpaDistinguisher"]
 
-_EPS = 1e-12  # matches repro.attacks.cpa._EPS
+_EPS = 1e-12
 
 
 class CpaDistinguisher(ClassConditionalDistinguisher):
@@ -47,9 +47,9 @@ class CpaDistinguisher(ClassConditionalDistinguisher):
 
     Feed ``(c, m)`` trace chunks plus their ``(c, n_bytes)`` plaintexts
     through :meth:`update`; :meth:`correlation` then recovers the same
-    ``(256, m)`` Pearson matrix :func:`~repro.attacks.cpa.cpa_byte_correlation`
-    would compute over all traces at once (to ~1e-9), at any point of the
-    stream and regardless of the chunking.
+    ``(256, m)`` Pearson matrix the closed-form CPA would compute over all
+    traces at once (to ~1e-9), at any point of the stream and regardless
+    of the chunking.
 
     Parameters
     ----------
@@ -66,11 +66,7 @@ class CpaDistinguisher(ClassConditionalDistinguisher):
     """
 
     name = "cpa"
-    # The class-conditional refactor changed the persisted state fields,
-    # so the checkpoint kind is versioned and the old tag is refused with
-    # a pointed error instead of a KeyError.
     _KIND = "cpa.cc1"
-    _LEGACY_KINDS = ("cpa",)
     min_traces = MIN_CPA_TRACES
 
     def __init__(self, model: str | LeakageModel = "hw", aggregate: int = 1) -> None:

@@ -7,10 +7,10 @@ scoring-time projection of the shared class-conditional store: with bit
 table ``B[v, k]`` and per-class counts/sums ``c[v]``/``S[v, :]``, the
 ones-partition count is ``c @ B`` and its sum ``Bᵀ @ S``.
 :meth:`DpaDistinguisher.difference` then recovers the same differential
-trace :func:`~repro.attacks.dpa.dpa_byte_difference` computes in one
-batch, for any chunking, and the store is purely additive so shard merges
-are exact.  Like CPA, the selection bit is swappable after accumulation
-via :meth:`DpaDistinguisher.with_model`.
+traces the closed-form partition means give in one batch, for any
+chunking, and the store is purely additive so shard merges are exact.
+Like CPA, the selection bit is swappable after accumulation via
+:meth:`DpaDistinguisher.with_model`.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ class DpaDistinguisher(ClassConditionalDistinguisher):
     """
 
     name = "dpa"
-    # Versioned: the class-conditional refactor changed the state fields.
     _KIND = "dpa.cc1"
-    _LEGACY_KINDS = ("dpa",)
     min_traces = 1
 
     def __init__(self, model: str | LeakageModel = "msb", aggregate: int = 1) -> None:
@@ -70,8 +68,7 @@ class DpaDistinguisher(ClassConditionalDistinguisher):
     def difference(self, byte_index: int) -> np.ndarray:
         """Recovered ``(256, m)`` difference-of-means matrix for one byte.
 
-        Rows whose hypothesis puts every trace in one partition are zero,
-        matching the batch implementation.
+        Rows whose hypothesis puts every trace in one partition are zero.
         """
         n, counts, class_sums = self._projection_inputs(byte_index, 1)
         bits = self.model.table                         # (256 values, 256 guesses)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.cpa import CpaAttack
-
 __all__ = [
     "key_byte_rank",
     "full_key_ranks",
@@ -41,27 +39,15 @@ def full_key_ranks(
     true_key: bytes,
     aggregate: int = 1,
 ) -> list[int]:
-    """Per-byte ranks of the true key for a given trace set.
+    """Per-byte ranks of the true key after a one-shot HW CPA over the set.
 
     The key width is derived from the plaintext matrix, so any block size
     the CPA's per-byte S-box model covers works here.
     """
-    plaintexts = np.asarray(plaintexts, dtype=np.uint8)
-    if plaintexts.ndim != 2:
-        raise ValueError(
-            f"expected (n, n_bytes) plaintext matrix, got {plaintexts.shape}"
-        )
-    if len(true_key) != plaintexts.shape[1]:
-        raise ValueError(
-            f"true_key has {len(true_key)} bytes but plaintexts carry "
-            f"{plaintexts.shape[1]} bytes per block"
-        )
-    attack = CpaAttack(aggregate=aggregate)
-    results = attack.attack(traces, plaintexts)
-    return [
-        key_byte_rank(result.guess_scores, true_key[byte_index])
-        for byte_index, result in enumerate(results)
-    ]
+    from repro.attacks.distinguishers import CpaDistinguisher
+
+    attack = CpaDistinguisher(aggregate=aggregate).batch(traces, plaintexts)
+    return attack.key_ranks(true_key)
 
 
 def traces_to_rank1(
@@ -82,13 +68,15 @@ def traces_to_rank1(
     minimum (:data:`MIN_CPA_TRACES`), so irregular ladders are accepted
     as-is.
 
-    ``distinguisher`` swaps the default batch Hamming-weight CPA for any
-    registered distinguisher (a name, a
-    :class:`~repro.attacks.distinguishers.DistinguisherSpec`, or a fresh
-    accumulator): the ladder is then walked with **incremental** online
-    updates — each trace is folded in exactly once instead of one full
-    batch attack per checkpoint.
+    The ladder is walked with one incremental accumulator: each trace is
+    folded in exactly once, and ranks are read at every checkpoint.
+    ``distinguisher`` picks the statistic — ``None`` for the Hamming-weight
+    CPA with the given ``aggregate``, or a registry name, a
+    :class:`~repro.attacks.distinguishers.DistinguisherSpec` or a fresh
+    accumulator.
     """
+    from repro.attacks.distinguishers import resolve_distinguisher
+
     traces = np.asarray(traces)
     n = traces.shape[0]
     if checkpoints is None:
@@ -97,34 +85,13 @@ def traces_to_rank1(
         points = sorted(
             {int(c) for c in checkpoints if int(c) >= MIN_CPA_TRACES}
         )
-    if distinguisher is not None:
-        return _ladder_to_rank1(
-            traces, plaintexts, true_key, points, aggregate, distinguisher
-        )
-    for count in points:
-        if count > n:
-            break
-        ranks = full_key_ranks(traces[:count], plaintexts[:count], true_key, aggregate)
-        if all(rank == 1 for rank in ranks):
-            return count
-    return None
-
-
-def _ladder_to_rank1(
-    traces, plaintexts, true_key, points, aggregate, distinguisher
-) -> int | None:
-    """Walk a checkpoint ladder with one incremental online accumulator."""
-    from repro.attacks.distinguishers import resolve_distinguisher
-
     _, accumulator = resolve_distinguisher(distinguisher, aggregate=aggregate)
-    n = traces.shape[0]
     done = 0
     for count in points:
         if count > n:
             break
-        if count > done:
-            accumulator.update(traces[done:count], plaintexts[done:count])
-            done = count
+        accumulator.update(traces[done:count], plaintexts[done:count])
+        done = count
         if done < accumulator.min_traces:
             continue
         if all(rank == 1 for rank in accumulator.key_ranks(true_key)):

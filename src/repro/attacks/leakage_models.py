@@ -33,8 +33,6 @@ __all__ = [
     "available_leakage_models",
     "get_leakage_model",
     "hw_byte",
-    "sbox_output_hypotheses",
-    "sbox_output_msb",
 ]
 
 _SBOX = np.asarray(SBOX, dtype=np.uint8)
@@ -156,30 +154,3 @@ def hw_byte(values: np.ndarray) -> np.ndarray:
         raise ValueError("hw_byte expects byte values in [0, 255]")
     return _HW8[values.astype(np.int64)]
 
-
-def sbox_output_hypotheses(pt_bytes: np.ndarray) -> np.ndarray:
-    """HW hypothesis matrix for all 256 key guesses of one key byte.
-
-    Kept as the historical first-order entry point; it is now a view into
-    the cached ``hw`` model table, so repeated per-chunk calls no longer
-    rebuild the S-box/Hamming-weight composition.
-
-    Parameters
-    ----------
-    pt_bytes:
-        The known plaintext byte of each trace, shape ``(n,)``.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(n, 256)``: entry (i, k) is ``HW(SBOX[pt_i ^ k])``.
-    """
-    return get_leakage_model("hw").hypotheses(pt_bytes)
-
-
-def sbox_output_msb(pt_bytes: np.ndarray, key_guess: int) -> np.ndarray:
-    """DPA selection bit: MSB of the S-box output for one key guess."""
-    if not 0 <= key_guess <= 255:
-        raise ValueError("key_guess must be a byte")
-    bits = get_leakage_model("msb").selection_bits(pt_bytes)
-    return bits[:, key_guess].astype(np.int64)

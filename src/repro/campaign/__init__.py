@@ -1,25 +1,14 @@
-"""Streaming attack-campaign primitives.
+"""Durable trace storage for streaming attack campaigns.
 
-The campaign layer turns the batch attacks of :mod:`repro.attacks` into a
-streaming pipeline suitable for production-scale trace counts:
-
-* :class:`~repro.campaign.online.OnlineCpa` /
-  :class:`~repro.campaign.online.OnlineDpa` — fixed-configuration shims
-  over the pluggable :mod:`repro.attacks.distinguishers` framework:
-  constant-memory sufficient statistics updated chunk-by-chunk,
-  recovering the batch correlation / difference matrices at any point of
-  the stream (any registered distinguisher plugs into the same campaign
-  machinery);
-* :class:`~repro.campaign.store.TraceStore` — an append-only, sharded
-  on-disk store (``.npy`` segments + JSON manifest, memory-mapped reads)
-  so captured traces survive the process and campaigns can resume.
-
-The :class:`~repro.runtime.campaign.AttackCampaign` orchestrator in
+:class:`~repro.campaign.store.TraceStore` is an append-only, sharded
+on-disk store (``.npy`` segments + JSON manifest, memory-mapped reads), so
+captured traces survive the process and campaigns can resume.  The
+:class:`~repro.runtime.campaign.AttackCampaign` orchestrator in
 :mod:`repro.runtime` drives capture → store → accumulate → checkpoint on
-top of these pieces.
+top of it, accumulating into any :mod:`repro.attacks.distinguishers`
+statistic.
 """
 
-from repro.campaign.online import OnlineCpa, OnlineDpa
 from repro.campaign.store import (
     CorruptManifestError,
     StoreVerification,
@@ -29,8 +18,6 @@ from repro.campaign.store import (
 
 __all__ = [
     "CorruptManifestError",
-    "OnlineCpa",
-    "OnlineDpa",
     "StoreVerification",
     "TraceStore",
     "atomic_write_json",

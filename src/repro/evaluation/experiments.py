@@ -24,6 +24,7 @@ __all__ = [
     "train_locator",
     "run_segmentation_scenario",
     "run_baseline_scenario",
+    "aligned_attack_set",
     "run_cpa_scenario",
     "default_tolerance",
 ]
@@ -118,6 +119,33 @@ def run_baseline_scenario(
     return stats, session, located
 
 
+def aligned_attack_set(
+    locator: CryptoLocator,
+    session: SessionTrace,
+    located: np.ndarray,
+    segment_length: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Aligned segments of the located COs, each with its plaintext.
+
+    Associates each kept detection with the plaintext of the nearest true
+    CO (the attacker knows the I/O order, so in practice the association
+    is positional; using the nearest true start keeps the bookkeeping
+    honest when there are false positives).  Returns ``(segments,
+    plaintexts)`` with one ``(16,)`` plaintext row per segment.
+    """
+    segments, kept = locator.align(
+        session.trace, starts=located, length=segment_length
+    )
+    located_kept = np.asarray(located)[kept]
+    nearest = np.abs(
+        located_kept[:, None] - session.true_starts[None, :]
+    ).argmin(axis=1)
+    plaintexts = np.frombuffer(
+        b"".join(session.plaintexts[i] for i in nearest), dtype=np.uint8
+    ).reshape(-1, 16)
+    return segments, plaintexts
+
+
 def run_cpa_scenario(
     locator: CryptoLocator,
     session: SessionTrace,
@@ -129,30 +157,18 @@ def run_cpa_scenario(
 ) -> int | None:
     """Mount the CPA of Section IV-C on the located-and-aligned COs.
 
-    Associates each located start with the plaintext of the nearest true
-    CO (the attacker knows the I/O order, so in practice the association
-    is positional; using the nearest true start keeps the bookkeeping
-    honest when there are false positives).  Returns the traces-to-rank-1
-    count, or ``None`` on failure — Table II's CPA column.
-
-    ``distinguisher`` swaps the default batch HW CPA for any registered
+    Returns the traces-to-rank-1 count over the
+    :func:`aligned_attack_set`, or ``None`` on failure — Table II's CPA
+    column.  ``distinguisher`` swaps the default HW CPA for any registered
     distinguisher (see :func:`repro.attacks.traces_to_rank1`).
     """
     if located.size < 8:
         return None
-    segment_length = (
-        segment_length if segment_length is not None else 2 * locator.config.n_inf
+    segments, plaintexts = aligned_attack_set(
+        locator, session, located, segment_length
     )
-    segments, kept = locator.align(session.trace, starts=located, length=segment_length)
     if segments.shape[0] < 8:
         return None
-    # Associate each kept detection with the nearest true CO's plaintext.
-    true_starts = session.true_starts
-    located_kept = np.asarray(located)[kept]
-    nearest = np.abs(located_kept[:, None] - true_starts[None, :]).argmin(axis=1)
-    plaintexts = np.frombuffer(
-        b"".join(session.plaintexts[i] for i in nearest), dtype=np.uint8
-    ).reshape(-1, 16)
     return traces_to_rank1(
         segments,
         plaintexts,

@@ -4,17 +4,15 @@ An :class:`AttackCampaign` drives a segment source (typically a
 :class:`PlatformSegmentSource` wrapping a
 :class:`~repro.soc.platform.SimulatedPlatform`) in batches, appends every
 batch to an optional on-disk :class:`~repro.campaign.store.TraceStore`,
-folds it into an :class:`~repro.campaign.online.OnlineCpa` accumulator, and
-evaluates key ranks at geometric checkpoints.  The campaign stops early
-once every key byte has held rank 1 for ``rank1_patience`` consecutive
-checkpoints (or, when the true key is unknown, once the recovered key has
-been stable that long).
+folds it into a :mod:`distinguisher <repro.attacks.distinguishers>`
+accumulator (first-order HW CPA by default), and evaluates key ranks at
+geometric checkpoints.  The campaign stops early once every key byte has
+held rank 1 for ``rank1_patience`` consecutive checkpoints (or, when the
+true key is unknown, once the recovered key has been stable that long).
 
-Compared to re-running the batch CPA at every checkpoint
-(:func:`repro.attacks.key_rank.traces_to_rank1`), the streaming campaign
-touches each trace exactly once: checkpointed rank convergence becomes one
-incremental pass instead of O(checkpoints × full-CPA), and memory stays
-constant in the trace count.  With a store attached the campaign is
+The campaign touches each trace exactly once: checkpointed rank
+convergence is one incremental pass, and memory stays constant in the
+trace count.  With a store attached the campaign is
 durable — killing the process and constructing a new campaign over the
 same store replays the persisted chunks into a fresh accumulator, fast-
 forwards the source past them (``SegmentSource.skip``, so a seeded
@@ -201,7 +199,7 @@ class AttackCampaign:
         IV-C); also shrinks the sufficient statistics by the same factor.
         Ignored when ``distinguisher`` carries its own aggregation.
     distinguisher:
-        The attack statistic: ``None`` (the historical first-order HW
+        The attack statistic: ``None`` (the default first-order HW
         CPA), a registry name (``cpa``/``dpa``/``cpa2``/``lra``), a
         :class:`~repro.attacks.distinguishers.DistinguisherSpec`, or a
         fresh accumulator instance.  Store replay, checkpointing, and

@@ -13,8 +13,8 @@ seed and the shard index:
 * workers are embarrassingly parallel — each captures its shard, folds it
   into its own distinguisher accumulator (any registered distinguisher,
   rebuilt worker-side from a picklable
-  :class:`~repro.attacks.distinguishers.DistinguisherSpec`; the
-  historical HW CPA by default), optionally persists it to its own
+  :class:`~repro.attacks.distinguishers.DistinguisherSpec`; the HW CPA
+  by default), optionally persists it to its own
   :class:`~repro.campaign.store.TraceStore` shard directory, and ships
   the sufficient statistics back;
 * the parent **merges** accumulators in shard order at every rank-ladder
@@ -439,7 +439,7 @@ def run_shard(
 ) -> ShardResult:
     """Capture (or resume) one shard and accumulate it.
 
-    ``distinguisher`` picks the shard's attack statistic (the historical
+    ``distinguisher`` picks the shard's attack statistic (the default
     HW CPA when ``None``); the parent must merge shard accumulators of
     the identical configuration, which is why workers receive the
     picklable spec rather than a live accumulator.

@@ -70,10 +70,10 @@ def moving_average(signal: np.ndarray, size: int) -> np.ndarray:
 def prepare_segments(traces: np.ndarray, aggregate: int = 1) -> np.ndarray:
     """Shared attack pre-processing: float64 segments, optional aggregation.
 
-    The single call site for the Section IV-C boxcar aggregation that the
-    batch CPA/DPA and every online distinguisher apply before their
-    statistics — one place to validate the ``(n, m)`` segment shape and the
-    aggregation width instead of each attack repeating it.
+    The single call site for the Section IV-C boxcar aggregation that
+    every distinguisher applies before its statistics — one place to
+    validate the ``(n, m)`` segment shape and the aggregation width
+    instead of each attack repeating it.
     """
     traces = np.asarray(traces, dtype=np.float64)
     if traces.ndim != 2:

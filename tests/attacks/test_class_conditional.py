@@ -274,30 +274,25 @@ class TestBufferTransparency:
 
 
 class TestCheckpointVersioning:
-    """Pre-refactor checkpoints fail with a versioning error, not a KeyError."""
+    """Checkpoints of another state layout fail with a ValueError."""
 
-    @pytest.mark.parametrize("cls,legacy", [
+    @pytest.mark.parametrize("cls,kind", [
         (CpaDistinguisher, "cpa"), (DpaDistinguisher, "dpa"),
+        (CpaDistinguisher, "online_cpa.cc1"), (DpaDistinguisher, "cpa.cc1"),
     ])
-    def test_legacy_kind_rejected_with_pointed_error(self, cls, legacy, tmp_path):
+    def test_foreign_kind_rejected(self, cls, kind, tmp_path):
         import json
 
         np.savez(
             tmp_path / "old.npz",
-            kind=np.array(legacy),
+            kind=np.array(kind),
             config=np.array(json.dumps({"model": "hw", "aggregate": 1})),
             n=np.array([100]),
         )
-        with pytest.raises(ValueError, match="class-conditional"):
+        with pytest.raises(ValueError, match="not a"):
             cls.load(tmp_path / "old.npz")
 
-    def test_online_shims_reject_their_legacy_kinds(self, tmp_path):
-        from repro.campaign import OnlineCpa
-
-        np.savez(tmp_path / "old.npz", kind=np.array("online_cpa"))
-        with pytest.raises(ValueError, match="class-conditional"):
-            OnlineCpa.load(tmp_path / "old.npz")
-
-    def test_current_kinds_are_versioned(self):
-        assert CpaDistinguisher._KIND != "cpa"
-        assert DpaDistinguisher._KIND != "dpa"
+    def test_kindless_npz_rejected(self, tmp_path):
+        np.savez(tmp_path / "bare.npz", n=np.array([1]))
+        with pytest.raises(ValueError, match="not a"):
+            CpaDistinguisher.load(tmp_path / "bare.npz")

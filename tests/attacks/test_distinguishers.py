@@ -15,7 +15,7 @@ from factories import feed_in_chunks, leaky_traces, masked_leaky_traces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import CpaAttack, traces_to_rank1
+from repro.attacks import geometric_checkpoints, traces_to_rank1
 from repro.attacks.distinguishers import (
     CpaDistinguisher,
     DistinguisherSpec,
@@ -116,15 +116,15 @@ class TestFaceEquivalence:
         assert restored._config() == acc._config()
         _assert_scores_close(restored, acc, atol=0.0)
 
-    def test_pre_framework_checkpoint_rejected_cleanly(
+    def test_incomplete_checkpoint_rejected_cleanly(
         self, name, factory, data, tmp_path
     ):
-        """Old-layout .npz (no config entry) fails with a clear error."""
+        """A right-kind .npz missing state fields fails with a clear error."""
         acc = factory()
         cls = type(acc)
         np.savez(tmp_path / "old.npz", kind=np.array(cls._KIND),
                  aggregate=np.array([1]), n=np.array([10]))
-        with pytest.raises(ValueError, match="pre-framework"):
+        with pytest.raises(ValueError, match="incomplete.*config"):
             cls.load(tmp_path / "old.npz")
 
     def test_config_mismatch_refuses_merge(self, name, factory, data):
@@ -289,13 +289,20 @@ class TestRegistryAndSpec:
 
 
 class TestTracesToRank1Distinguisher:
-    def test_incremental_ladder_matches_batch_cpa(self):
+    def test_incremental_ladder_matches_one_shot_batches(self):
+        """Folding each rung's new traces in == a fresh batch per rung."""
         rng = np.random.default_rng(5)
         key = bytes(range(8))
         traces, pts = leaky_traces(rng, 400, key, noise=0.5, samples=20)
-        legacy = traces_to_rank1(traces, pts, key)
-        online = traces_to_rank1(traces, pts, key, distinguisher="cpa")
-        assert legacy == online is not None
+        expected = next(
+            count for count in geometric_checkpoints(400)
+            if CpaDistinguisher().batch(traces[:count], pts[:count])
+            .key_ranks(key) == [1] * len(key)
+        )
+        assert traces_to_rank1(traces, pts, key) == expected
+        assert traces_to_rank1(
+            traces, pts, key, distinguisher="cpa"
+        ) == expected
 
     def test_second_order_spec_on_masked_traces(self):
         rng = np.random.default_rng(6)

@@ -1,14 +1,20 @@
-"""Difference-of-means DPA."""
+"""Difference-of-means DPA (the ``dpa`` distinguisher)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.dpa import dpa_attack_byte, dpa_byte_difference
+from repro.attacks.distinguishers import DpaDistinguisher
 from repro.attacks.leakage_models import hw_byte
 from repro.ciphers.aes import SBOX
 
 _SBOX = np.asarray(SBOX, dtype=np.uint8)
+
+
+def dpa_byte_difference(traces, pt_bytes, key_guess):
+    """One-shot differential trace of one key guess for one byte."""
+    attack = DpaDistinguisher().batch(traces, pt_bytes[:, None])
+    return attack.difference(0)[key_guess]
 
 
 class TestDifference:
@@ -42,6 +48,6 @@ class TestAttack:
         pts = rng.integers(0, 256, n, dtype=np.uint8)
         traces = rng.normal(0, 0.5, (n, 12))
         traces[:, 5] += hw_byte(_SBOX[pts ^ key])
-        guess, scores = dpa_attack_byte(traces, pts)
-        assert guess == key
-        assert scores.shape == (256,)
+        attack = DpaDistinguisher().batch(traces, pts[:, None])
+        assert attack.recovered_key() == bytes([key])
+        assert attack.guess_scores().shape == (1, 256)

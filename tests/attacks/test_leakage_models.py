@@ -9,8 +9,6 @@ from repro.attacks import (
     available_leakage_models,
     get_leakage_model,
     hw_byte,
-    sbox_output_hypotheses,
-    sbox_output_msb,
 )
 from repro.ciphers.aes import SBOX
 
@@ -25,38 +23,46 @@ class TestHwByte:
 
 
 class TestSboxHypotheses:
+    """The ``hw`` model's hypothesis matrix: HW(SBOX[pt ^ k])."""
+
+    model = get_leakage_model("hw")
+
     def test_shape(self):
-        h = sbox_output_hypotheses(np.arange(10, dtype=np.uint8))
+        h = self.model.hypotheses(np.arange(10, dtype=np.uint8))
         assert h.shape == (10, 256)
 
     def test_correct_key_column(self):
         pts = np.array([0x12, 0x34, 0xAB], dtype=np.uint8)
         key = 0x5C
-        h = sbox_output_hypotheses(pts)
+        h = self.model.hypotheses(pts)
         expected = [bin(SBOX[p ^ key]).count("1") for p in pts]
         np.testing.assert_array_equal(h[:, key], expected)
 
     def test_values_are_hamming_weights(self):
-        h = sbox_output_hypotheses(np.arange(256, dtype=np.uint8))
+        h = self.model.hypotheses(np.arange(256, dtype=np.uint8))
         assert h.min() >= 0 and h.max() <= 8
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            sbox_output_hypotheses(np.zeros((2, 2), dtype=np.uint8))
+            self.model.hypotheses(np.zeros((2, 2), dtype=np.uint8))
 
 
 class TestMsb:
+    """The ``msb`` model's DPA selection bits."""
+
+    model = get_leakage_model("msb")
+
     def test_values_binary(self):
-        bits = sbox_output_msb(np.arange(256, dtype=np.uint8), 0x3D)
-        assert set(np.unique(bits)) <= {0, 1}
+        bits = self.model.selection_bits(np.arange(256, dtype=np.uint8))
+        assert set(np.unique(bits[:, 0x3D])) <= {0, 1}
 
     def test_matches_sbox(self):
-        bits = sbox_output_msb(np.array([0x00], dtype=np.uint8), 0x10)
-        assert bits[0] == SBOX[0x10] >> 7
+        bits = self.model.selection_bits(np.array([0x00], dtype=np.uint8))
+        assert bits[0, 0x10] == SBOX[0x10] >> 7
 
-    def test_rejects_bad_guess(self):
+    def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            sbox_output_msb(np.zeros(1, dtype=np.uint8), 300)
+            self.model.selection_bits(np.zeros((2, 2), dtype=np.uint8))
 
 
 class TestLeakageModelRegistry:

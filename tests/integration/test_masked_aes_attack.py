@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks import CpaAttack
 from repro.attacks.distinguishers import (
+    CpaDistinguisher,
     DistinguisherSpec,
     SecondOrderCpa,
     masked_aes_windows,
@@ -46,7 +46,7 @@ class TestSecondOrderOnPlatform:
     def test_first_order_cpa_fails_at_same_budget(self, masked_capture):
         """No current first-order attack touches the masked target."""
         key, traces, pts = masked_capture
-        recovered = CpaAttack().recovered_key(traces, pts)
+        recovered = CpaDistinguisher().batch(traces, pts).recovered_key()
         correct = sum(a == b for a, b in zip(recovered, key))
         assert correct <= 2   # chance level, nowhere near recovery
 

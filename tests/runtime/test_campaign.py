@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from factories import KEY, SyntheticSource, small_platform
 
-from repro.attacks import CpaAttack
+from repro.attacks.distinguishers import CpaDistinguisher
 from repro.campaign import TraceStore
 from repro.evaluation import (
     format_campaign,
@@ -106,7 +106,7 @@ class TestResume:
         )
         traces, pts = TraceStore.open(tmp_path / "s").load()
         assert campaign.accumulator.recovered_key() == (
-            CpaAttack().recovered_key(traces, pts)
+            CpaDistinguisher().batch(traces, pts).recovered_key()
         )
 
     def test_resumed_past_rank1_stops_without_new_ladder(self, tmp_path):

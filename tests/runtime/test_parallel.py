@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from factories import KEY, SyntheticCampaignSpec
 
+from repro.attacks.distinguishers import CpaDistinguisher
 from repro.attacks.key_rank import MIN_CPA_TRACES, geometric_checkpoints
-from repro.campaign import OnlineCpa, TraceStore
+from repro.campaign import TraceStore
 from repro.runtime import (
     AttackCampaign,
     ParallelCampaign,
@@ -131,7 +132,7 @@ class TestRunShard:
 
     def test_accumulates_exactly_the_shard_stream(self):
         result = run_shard(SPEC, self.SHARD, batch_size=32)
-        reference = OnlineCpa()
+        reference = CpaDistinguisher()
         t, p = SPEC.build_source(self.SHARD.seed_sequence).capture(100)
         for begin in range(0, 100, 32):
             reference.update(t[begin:begin + 32], p[begin:begin + 32])

@@ -26,6 +26,26 @@ class TestCli:
         with pytest.raises(FileNotFoundError):
             main(["locate", "--model", str(tmp_path / "missing.npz")])
 
+    def test_attack_locates_aligns_and_runs_the_cpa(self, tmp_path, capsys):
+        """`repro attack` end to end on a tiny saved locator."""
+        from repro.config import default_config
+        from repro.core.locator import CryptoLocator
+        from repro.soc import SimulatedPlatform
+
+        scale = 1 / 8192
+        locator = CryptoLocator(default_config("aes", scale), seed=1)
+        locator.fit_from_platform(
+            SimulatedPlatform("aes", max_delay=0, seed=0), boundary_cos=4
+        )
+        locator.save(tmp_path / "locator.npz")
+        code = main(["attack", "--cipher", "aes", "--rd", "0",
+                     "--scale", str(scale), "--cos", "32", "--consecutive",
+                     "--model", str(tmp_path / "locator.npz")])
+        out = capsys.readouterr().out
+        assert re.search(r"recovered key : [0-9a-f]{32}", out)
+        correct = int(re.search(r"(\d+)/16 key bytes correct", out).group(1))
+        assert code == (0 if correct == 16 else 1)
+
     def test_campaign_rejects_unknown_cipher(self):
         with pytest.raises(SystemExit):
             main(["campaign", "--cipher", "des"])

@@ -2,7 +2,8 @@
 
 Environment overrides:
 
-* ``REPRO_BENCH_SCALE`` — dataset scale (default ``1/32`` of Table I);
+* ``REPRO_BENCH_SCALE`` — dataset scale, a positive decimal or fraction
+  (default ``1/32`` of Table I);
 * ``REPRO_BENCH_EPOCHS`` — training epochs (default: config default);
 * ``REPRO_BENCH_COS`` — COs per attack session (default 32).
 """
@@ -11,10 +12,26 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 from repro.config import default_config
 
-BENCH_SCALE = float(eval(os.environ.get("REPRO_BENCH_SCALE", "1/32")))
+
+def parse_scale(text: str) -> float:
+    """A ``REPRO_BENCH_SCALE`` value such as ``1/32`` or ``0.05`` as a float."""
+    try:
+        scale = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"REPRO_BENCH_SCALE must be a decimal or fraction such as 1/32 "
+            f"or 0.05, got {text!r}"
+        ) from None
+    if scale <= 0:
+        raise ValueError(f"REPRO_BENCH_SCALE must be > 0, got {text!r}")
+    return float(scale)
+
+
+BENCH_SCALE = parse_scale(os.environ.get("REPRO_BENCH_SCALE", "1/32"))
 BENCH_COS = int(os.environ.get("REPRO_BENCH_COS", "32"))
 _EPOCHS = os.environ.get("REPRO_BENCH_EPOCHS")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.model import LocatorCNN, scores_from_logits
+from repro.core.model import INFERENCE_CHUNK, LocatorCNN, scores_from_logits
 from repro.nn import GlobalAvgPool1d, Sequential
 from repro.nn.layers import Conv1d
 
@@ -53,7 +53,6 @@ class SlidingWindowClassifier:
         stride: int,
         score_mode: str = "margin",
         method: str = "dense",
-        batch_size: int = 512,
         chunk_size: int = 65_536,
     ) -> None:
         if window < 8:
@@ -67,7 +66,6 @@ class SlidingWindowClassifier:
         self.stride = int(stride)
         self.score_mode = score_mode
         self.method = method
-        self.batch_size = int(batch_size)
         self.chunk_size = int(chunk_size)
         network = cnn.network
         gap_index = next(
@@ -186,12 +184,10 @@ class SlidingWindowClassifier:
         offsets = self.window_offsets(trace.size)
         scores = np.empty(offsets.size, dtype=np.float64)
         windows_view = np.lib.stride_tricks.sliding_window_view(trace, self.window)
-        for begin in range(0, offsets.size, self.batch_size):
-            batch_offsets = offsets[begin: begin + self.batch_size]
-            batch = windows_view[batch_offsets][:, None, :]
-            logits = self.cnn.logits(np.ascontiguousarray(batch))
-            scores[begin: begin + self.batch_size] = scores_from_logits(
-                logits, self.score_mode
+        for begin in range(0, offsets.size, INFERENCE_CHUNK):
+            batch = windows_view[offsets[begin: begin + INFERENCE_CHUNK]][:, None, :]
+            scores[begin: begin + INFERENCE_CHUNK] = scores_from_logits(
+                self.cnn.logits(batch), self.score_mode
             )
         return scores
 

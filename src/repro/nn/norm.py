@@ -16,6 +16,11 @@ class BatchNorm1d(Module):
     temporal axes) and exponential running estimates are updated; in eval
     mode the running estimates are used, so single-window inference is
     deterministic.
+
+    Eval mode is one per-channel scale and shift.  Training builds the
+    normalised input ``x_hat`` once and keeps it; the backward pass needs
+    only the two per-channel reductions ``sum(dy)`` and ``sum(dy * x_hat)``,
+    which are also the beta and gamma gradients.
     """
 
     buffer_names = ("running_mean", "running_var")
@@ -35,36 +40,39 @@ class BatchNorm1d(Module):
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise ValueError(f"BatchNorm1d expects (B, {self.channels}, N), got {x.shape}")
         x = np.asarray(x, dtype=np.float32)
-        if self.training:
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-            m = self.momentum
-            self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(np.float32)
-            self.running_var = ((1 - m) * self.running_var + m * var).astype(np.float32)
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not self.training:
             self._cache = None  # a stale training cache must not leak here
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        if self.training:
-            self._cache = (x_hat, inv_std)
-        y = self.gamma.data[None, :, None] * x_hat + self.beta.data[None, :, None]
-        return y.astype(np.float32)
+            scale = self.gamma.data / np.sqrt(self.running_var + np.float32(self.eps))
+            shift = self.beta.data - self.running_mean * scale
+            y = x * scale[:, None]
+            y += shift[:, None]
+            return y
+        mean = x.mean(axis=(0, 2))
+        x_hat = x - mean[:, None]
+        var = np.einsum("bcn,bcn->c", x_hat, x_hat) / np.float32(x.shape[0] * x.shape[2])
+        m = self.momentum
+        self.running_mean = ((1 - m) * self.running_mean + m * mean).astype(np.float32)
+        self.running_var = ((1 - m) * self.running_var + m * var).astype(np.float32)
+        inv_std = 1.0 / np.sqrt(var + np.float32(self.eps))
+        x_hat *= inv_std[:, None]
+        self._cache = (x_hat, inv_std)
+        y = x_hat * self.gamma.data[:, None]
+        y += self.beta.data[:, None]
+        return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward (training mode)")
-        x_hat, inv_std = self._cache
+        (x_hat, inv_std), self._cache = self._cache, None
         grad = np.asarray(grad, dtype=np.float32)
-        m = grad.shape[0] * grad.shape[2]
-        self.gamma.grad += (grad * x_hat).sum(axis=(0, 2))
-        self.beta.grad += grad.sum(axis=(0, 2))
-        dx_hat = grad * self.gamma.data[None, :, None]
-        sum_dx_hat = dx_hat.sum(axis=(0, 2), keepdims=True)
-        sum_dx_hat_xhat = (dx_hat * x_hat).sum(axis=(0, 2), keepdims=True)
-        dx = (inv_std[None, :, None] / m) * (
-            m * dx_hat - sum_dx_hat - x_hat * sum_dx_hat_xhat
-        )
-        self._cache = None
-        return dx.astype(np.float32)
+        m = np.float32(grad.shape[0] * grad.shape[2])
+        sum_g = grad.sum(axis=(0, 2))
+        sum_g_xhat = np.einsum("bcn,bcn->c", grad, x_hat)
+        self.beta.grad += sum_g
+        self.gamma.grad += sum_g_xhat
+        # dx = gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat))
+        scale = self.gamma.data * inv_std
+        dx = x_hat * (-scale * sum_g_xhat / m)[:, None]
+        dx += grad * scale[:, None]
+        dx -= (scale * sum_g / m)[:, None]
+        return dx

@@ -11,7 +11,8 @@ SNR/t-test POI ranking.  Re-running over the same store resumes exactly
 like an attack campaign: persisted chunks are replayed into the
 statistics and the source is fast-forwarded past them, so an
 interrupted-and-resumed profiling run accumulates exactly the traces an
-uninterrupted one would.
+uninterrupted one would.  A damaged store is recovered first (corrupt
+tail and orphans quarantined), exactly as the attack campaign does.
 """
 
 from __future__ import annotations
@@ -100,6 +101,12 @@ class ProfilingCampaign:
         self.batch_size = int(batch_size)
         self.stats = ClassStats(key, model=model)
         self.resumed_from = 0
+        # Quarantine any corrupt/orphaned tail before replay, as
+        # AttackCampaign does: the resumed run re-captures the dropped
+        # suffix of its deterministic stream instead of crashing mid-replay
+        # (truncated shard) or folding damaged traces into the statistics
+        # (bit-flipped shard).
+        self.store_quarantined = len(store.recover().quarantined)
         if len(store):
             for traces, plaintexts in store.iter_chunks(self.batch_size):
                 self.stats.update(traces, plaintexts)

@@ -12,7 +12,11 @@ needs:
   randomness needs to be perturbed for the retry to be safe;
 * a ``BrokenProcessPool`` (worker killed by the OS, OOM, hard crash)
   **rebuilds the pool** and re-dispatches only the unfinished shards —
-  results already shipped back are kept;
+  results already shipped back are kept.  The break costs one retry,
+  charged in :meth:`ShardExecutor.result` to the first shard awaited
+  after it (the oldest unfinished one, for the in-order consumers here),
+  whether :meth:`~ShardExecutor.submit` or :meth:`~ShardExecutor.result`
+  saw it first;
 * an optional per-shard wall-clock ``timeout`` acts as a **watchdog** on
   the shard's future: a hung worker cannot be cancelled in-flight, so
   the pool is torn down (processes terminated) and rebuilt, which
@@ -31,7 +35,7 @@ The executor is deliberately campaign-agnostic — it dispatches
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -200,9 +204,14 @@ class ShardExecutor:
         if self._use_pool:
             try:
                 self._futures[index] = self._ensure_pool().submit(fn, *args)
-            except BrokenProcessPool:  # pragma: no cover - submit-time break
-                self._rebuild_pool()
-                self._futures[index] = self._pool.submit(fn, *args)
+            except BrokenProcessPool as exc:
+                # A worker died since the last dispatch.  Rebuilding here
+                # would requeue the dead shard without charging it a
+                # retry.  Instead this future carries the break like the
+                # dead shard's, and result() charges the break to the
+                # first shard it waits on, then rebuilds the pool once.
+                self._futures[index] = Future()
+                self._futures[index].set_exception(exc)
         self._emit(index, "capturing")
 
     def result(self, index: int):

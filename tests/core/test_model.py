@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import model
 from repro.core.model import LocatorCNN, build_locator_cnn, scores_from_logits
 from repro.nn import BatchNorm1d, Conv1d, GlobalAvgPool1d, Linear, ResidualBlock1d
 
@@ -48,12 +49,19 @@ class TestArchitecture:
 
 
 class TestLocatorCNN:
-    def test_logits_batching_consistent(self, rng):
-        cnn = LocatorCNN(build_locator_cnn(kernel_size=9, rng=rng))
-        windows = rng.normal(0, 1, (20, 1, 40)).astype(np.float32)
-        full = cnn.logits(windows, batch_size=20)
-        split = cnn.logits(windows, batch_size=7)
-        np.testing.assert_allclose(full, split, rtol=1e-5)
+    def test_logits_batching_consistent(self, rng, monkeypatch):
+        """Eval-mode logits do not depend on how windows are chunked."""
+        windows = rng.normal(0, 1, (300, 1, 40)).astype(np.float32)
+        for kernel in (9, 63):  # direct and FFT convolutions
+            cnn = LocatorCNN(build_locator_cnn(kernel_size=kernel, rng=rng))
+            results = {}
+            for chunk in (1, 7, 128, len(windows)):
+                monkeypatch.setattr(model, "INFERENCE_CHUNK", chunk)
+                results[chunk] = cnn.logits(windows)
+            assert results[1].shape == (300, 2)
+            for chunk, logits in results.items():
+                np.testing.assert_allclose(logits, results[1], rtol=1e-5, atol=1e-5,
+                                           err_msg=f"kernel {kernel}, chunk {chunk}")
 
     def test_predict_binary(self, rng):
         cnn = LocatorCNN(build_locator_cnn(kernel_size=9, rng=rng))

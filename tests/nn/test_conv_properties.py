@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Conv1d
+from repro.nn import Conv1d, layers
 
 
 def make_conv(kernel, cin=2, cout=3, seed=11):
@@ -83,3 +85,56 @@ class TestAccumulation:
         conv.forward(x)
         conv.backward(g)
         np.testing.assert_allclose(conv.weight.grad, 2 * first, rtol=1e-4)
+
+
+def run_path(conv, x, g, fft):
+    """Forward + backward through one implementation; returns y, dW, db, dx."""
+    threshold = 0 if fft else conv.kernel_size  # the FFT path runs for K > threshold
+    with mock.patch.object(layers, "_FFT_KERNEL_THRESHOLD", threshold):
+        conv.zero_grad()
+        y = conv.forward(x)
+        dx = conv.backward(g)
+    return y, conv.weight.grad.copy(), conv.bias.grad.copy(), dx
+
+
+class TestFftMatchesDirect:
+    """The FFT path computes the im2col path's convolution and gradients.
+
+    Even kernels matter: they make ``pad_left != pad_right``, and the FFT
+    path crops ``y`` at ``pad_right``, ``dx`` at ``pad_left`` and reads the
+    weight-gradient lags ``-pad_left..pad_right`` off a wrapped
+    correlation.  Lengths shorter than the kernel and single-channel inputs
+    are the other edges.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kernel=st.integers(min_value=1, max_value=2 * layers._FFT_KERNEL_THRESHOLD + 9),
+        n=st.integers(min_value=1, max_value=70),
+        cin=st.integers(min_value=1, max_value=3),
+        cout=st.integers(min_value=1, max_value=4),
+        batch=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    # Pinned edges: even and odd kernels on both sides of the threshold,
+    # N < K, and C = 1 (the locator's first layer).
+    @example(kernel=4, n=30, cin=2, cout=3, batch=2, seed=1)
+    @example(kernel=5, n=30, cin=2, cout=3, batch=2, seed=2)
+    @example(kernel=14, n=30, cin=2, cout=3, batch=2, seed=3)
+    @example(kernel=21, n=30, cin=2, cout=3, batch=2, seed=4)
+    @example(kernel=20, n=7, cin=2, cout=2, batch=1, seed=5)
+    @example(kernel=63, n=40, cin=1, cout=4, batch=3, seed=6)
+    def test_forward_and_gradients_match(self, kernel, n, cin, cout, batch, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv1d(cin, cout, kernel, rng=rng)
+        conv.bias.data[...] = rng.normal(0, 1, cout)
+        x = rng.normal(0, 1, (batch, cin, n)).astype(np.float32)
+        g = rng.normal(0, 1, (batch, cout, n)).astype(np.float32)
+        fft = run_path(conv, x, g, fft=True)
+        direct = run_path(conv, x, g, fft=False)
+        for name, got, want in zip(("y", "dW", "db", "dx"), fft, direct):
+            assert got.shape == want.shape, name
+            assert got.dtype == np.float32, name
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * scale, err_msg=name)
+

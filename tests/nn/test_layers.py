@@ -104,6 +104,17 @@ class TestConv1d:
         with pytest.raises(RuntimeError):
             conv.backward(np.zeros((1, 1, 5), dtype=np.float32))
 
+    @pytest.mark.parametrize("kernel", [3, 17])  # direct and FFT paths
+    def test_backward_after_eval_forward_raises(self, kernel, rng):
+        """Eval-mode forwards keep no backward state, not even a stale one."""
+        conv = Conv1d(2, 3, kernel, rng=rng)
+        x = rng.normal(0, 1, (2, 2, 20)).astype(np.float32)
+        conv.forward(x)  # training mode: leaves a backward cache
+        conv.eval()
+        conv.forward(x)
+        with pytest.raises(RuntimeError):
+            conv.backward(np.ones((2, 3, 20), dtype=np.float32))
+
     def test_rejects_bad_kernel(self):
         with pytest.raises(ValueError):
             Conv1d(1, 1, 0)
@@ -163,6 +174,15 @@ class TestReLU:
         relu.forward(np.zeros((1, 3), dtype=np.float32))
         dx = relu.backward(np.ones((1, 3), dtype=np.float32))
         np.testing.assert_array_equal(dx, np.zeros((1, 3)))
+
+    def test_backward_after_eval_forward_raises(self):
+        relu = ReLU()
+        x = np.array([[-1.0, 1.0]], dtype=np.float32)
+        relu.forward(x)
+        relu.eval()
+        np.testing.assert_array_equal(relu.forward(x), [[0.0, 1.0]])
+        with pytest.raises(RuntimeError):
+            relu.backward(np.ones((1, 2), dtype=np.float32))
 
 
 class TestGlobalAvgPool:

@@ -8,6 +8,7 @@ from factories import KEY, SyntheticSource
 
 from repro.campaign import TraceStore
 from repro.profiled import ProfilingCampaign
+from repro.runtime.faults import corrupt_store
 
 SMALL_KEY = KEY[:4]
 
@@ -90,6 +91,34 @@ class TestRun:
         np.testing.assert_allclose(
             result.stats.welch_t(), reference.stats.welch_t(), atol=1e-10
         )
+
+    @pytest.mark.parametrize("mode", ["bitflip", "truncate"])
+    def test_damaged_store_resumes_to_the_uninterrupted_result(self, tmp_path, mode):
+        """A corrupt last shard is quarantined, not replayed or folded in."""
+        interrupted = ProfilingCampaign(
+            SyntheticSource(SMALL_KEY, seed=8), _store(tmp_path, "a"),
+            batch_size=64,
+        )
+        interrupted.run(256)
+        corrupt_store(tmp_path / "a", mode=mode, shard=-1)
+        resumed = ProfilingCampaign(
+            SyntheticSource(SMALL_KEY, seed=8),
+            TraceStore.open(tmp_path / "a"),
+            batch_size=64,
+        )
+        assert resumed.store_quarantined == 2  # the shard's traces + plaintexts
+        assert resumed.resumed_from == 192
+        result = resumed.run(400)
+        reference = ProfilingCampaign(
+            SyntheticSource(SMALL_KEY, seed=8), _store(tmp_path, "b"),
+            batch_size=64,
+        ).run(400)
+        assert result.n_traces == reference.n_traces == 400
+        np.testing.assert_array_equal(result.snr(), reference.snr())
+        np.testing.assert_array_equal(
+            result.stats.welch_t(), reference.stats.welch_t()
+        )
+        assert TraceStore.open(tmp_path / "a").verify().clean
 
     def test_budget_already_met_captures_nothing(self, tmp_path):
         store = _store(tmp_path)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import wait
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,15 @@ class TestCorruptStore:
             corrupt_store(store.path, mode="shred")
 
 
+def _exit_first(state_dir, value):
+    """Picklable task whose first invocation kills its worker process."""
+    attempts = len(list(Path(state_dir).glob("attempt-*")))
+    (Path(state_dir) / f"attempt-{attempts}").touch()
+    if attempts == 0:
+        os._exit(1)
+    return value
+
+
 def _flaky(state_dir, fail_times, value):
     """Picklable task failing its first ``fail_times`` invocations."""
     attempts = len(list(Path(state_dir).glob("attempt-*")))
@@ -236,6 +247,55 @@ class TestShardExecutorPool:
             assert executor.retries == {0: 1}
         finally:
             executor.close()
+
+    def test_pool_break_seen_by_submit_is_charged_as_a_retry(self, tmp_path):
+        """A worker death noticed by submit() still costs the dead shard
+        one retry: counted, journalled as ``retrying``, and rebuilt once."""
+        dead, healthy = tmp_path / "dead", tmp_path / "healthy"
+        dead.mkdir()
+        healthy.mkdir()
+        events = []
+        executor = ShardExecutor(
+            workers=2,
+            policy=RetryPolicy(max_retries=2, backoff=0.0),
+            on_event=lambda i, s, r: events.append((i, s, r)),
+        )
+        try:
+            executor.submit(0, _exit_first, str(dead), "zero")
+            # Wait until the pool is broken, so submit() is the first to see it.
+            assert wait([executor._futures[0]], timeout=60).done
+            executor.submit(1, _flaky, str(healthy), 0, "one")
+            assert executor.pool_rebuilds == 0
+            assert executor.result(0) == "zero"
+            assert executor.result(1) == "one"
+        finally:
+            executor.close()
+        assert executor.retries == {0: 1}
+        assert executor.pool_rebuilds == 1
+        assert (0, "retrying", 1) in events
+        assert len(list(dead.glob("attempt-*"))) == 2
+        assert len(list(healthy.glob("attempt-*"))) == 1
+
+    def test_pool_break_seen_by_submit_uses_up_the_retry_budget(self, tmp_path):
+        dead, healthy = tmp_path / "dead", tmp_path / "healthy"
+        dead.mkdir()
+        healthy.mkdir()
+        executor = ShardExecutor(
+            workers=2, policy=RetryPolicy(max_retries=0, backoff=0.0)
+        )
+        try:
+            executor.submit(0, _exit_first, str(dead), "zero")
+            assert wait([executor._futures[0]], timeout=60).done
+            executor.submit(1, _flaky, str(healthy), 0, "one")
+            with pytest.raises(ShardFailure) as excinfo:
+                executor.result(0)
+            # The surviving shard runs on the rebuilt pool.
+            assert executor.result(1) == "one"
+        finally:
+            executor.close()
+        assert excinfo.value.index == 0
+        assert excinfo.value.attempts == 1
+        assert len(list(dead.glob("attempt-*"))) == 1
 
     def test_timeout_forces_pool_mode_at_one_worker(self):
         executor = ShardExecutor(policy=RetryPolicy(timeout=30.0))

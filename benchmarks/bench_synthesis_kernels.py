@@ -8,9 +8,9 @@ replaced a per-trace Python loop over
 ``synthesize_rows`` (pulse expansion → FIR band-limit → window cut →
 noise → ADC quantisation fused into one pass, replacing a chain of five
 whole-matrix numpy stages).  This benchmark measures both kernels in
-isolation at capture-shaped workloads, per installed backend, and also
-times the scalar / unfused references they replaced so the win is
-recorded next to the absolute throughput.
+isolation at capture-shaped workloads, and also times the scalar /
+unfused references they replaced so the win is recorded next to the
+absolute throughput.
 
 Each kernel result is verified element-for-element against its reference
 before timing — a bit-identity failure fails the benchmark, mirroring
@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.backend import available_backends, set_backend
+from repro.backend import get_backend
 from repro.evaluation import format_table
 from repro.soc import RandomDelayCountermeasure, TrngModel
 from repro.soc.random_delay import BatchDelayPlans
@@ -82,13 +82,12 @@ def bench_gather(backend, seed, batch, n32, max_delay, repeats):
         stacked.positions, values32, kinds32, stacked.dummy_values,
         stacked.dummy_kinds, stacked.dummy_bounds, los, widths,
     )
-    got = backend.gather_delayed_windows(*args)   # also warms any JIT
+    got = backend.gather_delayed_windows(*args)
     want = _scalar_gather(plans, values32, kinds32, los, widths)
     if not (np.array_equal(got[0], want[0])
             and np.array_equal(got[1], want[1])):
         raise AssertionError(
-            f"{backend.name} gather_delayed_windows disagrees with the "
-            f"scalar reference"
+            "gather_delayed_windows disagrees with the scalar reference"
         )
     begin = time.perf_counter()
     for _ in range(repeats):
@@ -154,12 +153,11 @@ def _unfused_synthesize(power, widths, pulse, kernel, offsets, n_out,
 
 def bench_synthesis(backend, seed, batch, w_ops, spp, n_out, repeats):
     args = _synthesis_workload(seed, batch, w_ops, spp, n_out)
-    got = backend.synthesize_rows(*args)          # also warms any JIT
+    got = backend.synthesize_rows(*args)
     want = _unfused_synthesize(*args)
     if not np.array_equal(got, want):
         raise AssertionError(
-            f"{backend.name} synthesize_rows disagrees with the unfused "
-            f"reference chain"
+            "synthesize_rows disagrees with the unfused reference chain"
         )
     begin = time.perf_counter()
     for _ in range(repeats):
@@ -196,41 +194,32 @@ def main() -> int:
     batch = 128 if args.quick else 512
     repeats = 30 if args.quick else 120
 
-    backends = {}
-    rows = []
-    for name in available_backends():
-        backend = set_backend(name)
-        if backend.name != name:   # numba fell back: nothing new to time
-            continue
-        gather = bench_gather(
-            backend, args.seed, batch=batch, n32=600, max_delay=2,
-            repeats=repeats,
-        )
-        synthesis = bench_synthesis(
-            backend, args.seed, batch=batch, w_ops=128, spp=3, n_out=320,
-            repeats=repeats,
-        )
-        backends[name] = {"gather": gather, "synthesis": synthesis}
-        rows.append([
-            name, "gather",
-            f"{gather['windows_per_s']:.0f} win/s",
-            f"{gather['kernel_vs_scalar_ratio']:.1f}x vs scalar",
-        ])
-        rows.append([
-            name, "synthesize_rows",
-            f"{synthesis['samples_per_s'] / 1e6:.1f} Msample/s",
-            f"{synthesis['kernel_vs_unfused_ratio']:.1f}x vs unfused",
-        ])
-        print(f"[bench] {name}: gather {gather['windows_per_s']:.0f} "
-              f"windows/s ({gather['kernel_vs_scalar_ratio']:.1f}x vs the "
-              f"scalar loop), synthesize "
-              f"{synthesis['samples_per_s'] / 1e6:.1f} Msample/s "
-              f"({synthesis['kernel_vs_unfused_ratio']:.1f}x vs the "
-              f"unfused chain)")
+    backend = get_backend()
+    gather = bench_gather(
+        backend, args.seed, batch=batch, n32=600, max_delay=2,
+        repeats=repeats,
+    )
+    synthesis = bench_synthesis(
+        backend, args.seed, batch=batch, w_ops=128, spp=3, n_out=320,
+        repeats=repeats,
+    )
+    rows = [
+        ["gather",
+         f"{gather['windows_per_s']:.0f} win/s",
+         f"{gather['kernel_vs_scalar_ratio']:.1f}x vs scalar"],
+        ["synthesize_rows",
+         f"{synthesis['samples_per_s'] / 1e6:.1f} Msample/s",
+         f"{synthesis['kernel_vs_unfused_ratio']:.1f}x vs unfused"],
+    ]
+    print(f"[bench] gather {gather['windows_per_s']:.0f} windows/s "
+          f"({gather['kernel_vs_scalar_ratio']:.1f}x vs the scalar loop), "
+          f"synthesize {synthesis['samples_per_s'] / 1e6:.1f} Msample/s "
+          f"({synthesis['kernel_vs_unfused_ratio']:.1f}x vs the unfused "
+          f"chain)")
 
     print()
     print(format_table(
-        ["backend", "kernel", "throughput", "vs reference"],
+        ["kernel", "throughput", "vs reference"],
         rows,
         title=f"Fused synthesis kernels (batch {batch})",
     ))
@@ -239,7 +228,9 @@ def main() -> int:
         "benchmark": "synthesis_kernels",
         "quick": bool(args.quick),
         "batch": batch,
-        "backends": backends,
+        # The one kernel table keeps the historical per-backend key so
+        # compare_bench.py still matches the committed baseline's paths.
+        "backends": {"numpy": {"gather": gather, "synthesis": synthesis}},
     }
     with open(args.output, "w") as handle:
         json.dump(payload, handle, indent=2)

@@ -234,23 +234,6 @@ def _add_capture_mode_option(parser: argparse.ArgumentParser) -> None:
         help="capture randomness path: 'exact' is bit-identical to the "
              "scalar reference, 'fast' draws batch randomness in bulk "
              "(statistically identical stream, much faster capture)")
-    parser.add_argument(
-        "--backend", default=None, choices=("numpy", "numba"),
-        help="array backend for the synthesis/accumulation hot kernels; "
-             "'numba' JIT-compiles them when numba is installed (warns "
-             "and falls back to numpy otherwise); default: the "
-             "REPRO_BACKEND environment variable, then numpy")
-
-
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Activate ``--backend`` and export it to campaign worker processes."""
-    if getattr(args, "backend", None):
-        import os
-
-        from repro.backend import BACKEND_ENV, set_backend
-
-        set_backend(args.backend)
-        os.environ[BACKEND_ENV] = args.backend
 
 
 def _add_countermeasure_options(parser: argparse.ArgumentParser) -> None:
@@ -425,7 +408,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.evaluation import format_table
     from repro.runtime import BatchPlan, ExperimentEngine, ScenarioResult
 
-    _apply_backend(args)
     ciphers = [c.strip() for c in args.ciphers.split(",") if c.strip()]
     unknown = sorted(set(ciphers) - set(available_ciphers()))
     if unknown:
@@ -553,7 +535,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     fault_tolerance = _resolve_fault_tolerance(args)
     if fault_tolerance is None:
         return 2
-    _apply_backend(args)
     countermeasures = _resolve_countermeasures(args)
     if countermeasures is None:
         return 2
@@ -643,7 +624,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.runtime.campaign import PlatformSegmentSource
     from repro.soc.platform import PlatformSpec
 
-    _apply_backend(args)
     countermeasures = _resolve_countermeasures(args)
     if countermeasures is None:
         return 2
@@ -841,7 +821,6 @@ def cmd_tvla(args: argparse.Namespace) -> int:
 
     if args.status:
         return _campaign_status(args.store)
-    _apply_backend(args)
     if args.traces < 2:
         print("--traces must be >= 2 (per population)", file=sys.stderr)
         return 2

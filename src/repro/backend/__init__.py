@@ -1,56 +1,33 @@
-"""Pluggable array backend for the measured hot loops.
+"""The array kernels under the measured hot loops.
 
 The capture→accumulate spine spends nearly all of its time in a handful of
 elementwise/scatter kernels: the Hamming-weight leakage model, the ADC
 quantiser, the RD-window gather, and the fused pulse→FIR→quantise window
 synthesis on the capture side, and the class-conditional scatter on the
-accumulation side.  This package puts a thin seam under exactly those
-kernels so a campaign can swap the array engine without touching any
-calling code:
+accumulation side.  Those five kernels live in
+:mod:`repro.backend.numpy_backend`, **bit-identical** to the historical
+inline code they replaced, and this package collects them into one
+:class:`ArrayBackend` table.
 
-* ``numpy`` (default) — the reference implementation, **bit-identical** to
-  the historical inline code (it *is* that code, moved verbatim);
-* ``numba`` (optional) — JIT-compiled parallel kernels.  Requested but
-  missing numba degrades gracefully: a warning, then the numpy backend.
-
-Selection, in priority order:
-
-1. an explicit :func:`set_backend` call (the CLI's ``--backend`` flag);
-2. the ``REPRO_BACKEND`` environment variable — which is also how the
-   parent process propagates the choice to parallel campaign workers;
-3. the numpy default.
-
-The numba kernels accumulate floating-point sums in loop order rather than
-numpy's pairwise order, so their results agree with the numpy backend to
-the same tolerances the batch-vs-online property suites already pin — not
-bit-for-bit.  Anything needing bit-stable streams (the equivalence suites,
-committed baselines) runs on the numpy backend.
+Call sites look the table up with :func:`get_backend` each time a kernel
+runs, never at import time.  Replacing the module-level ``_active`` table
+(for example with a ``dataclasses.replace`` copy whose kernels are
+wrapped in timers) therefore reaches every caller.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-__all__ = [
-    "ArrayBackend",
-    "BACKEND_ENV",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-]
+from repro.backend import numpy_backend
 
-#: Environment variable consulted on first use (and by worker processes).
-BACKEND_ENV = "REPRO_BACKEND"
-
-_KNOWN = ("numpy", "numba")
+__all__ = ["ArrayBackend", "get_backend"]
 
 
 @dataclass(frozen=True)
 class ArrayBackend:
-    """The kernel table one backend provides.
+    """The hot-loop kernel table.
 
     ``accumulate_class_stats(counts, class_sums, t, pts)``
         In-place scatter of a centred chunk into per-(byte, class) counts
@@ -85,7 +62,6 @@ class ArrayBackend:
         to the historical unfused chain.
     """
 
-    name: str
     accumulate_class_stats: Callable
     hw_power: Callable
     quantize: Callable
@@ -93,69 +69,15 @@ class ArrayBackend:
     synthesize_rows: Callable
 
 
-_active: ArrayBackend | None = None
-
-
-def _load(name: str) -> ArrayBackend:
-    if name == "numpy":
-        from repro.backend.numpy_backend import BACKEND
-        return BACKEND
-    if name == "numba":
-        from repro.backend.numba_backend import BACKEND
-        return BACKEND
-    raise ValueError(
-        f"unknown backend {name!r}; choose from {', '.join(_KNOWN)}"
-    )
-
-
-def available_backends() -> list[str]:
-    """Backend names usable in this environment."""
-    names = ["numpy"]
-    try:
-        import numba  # noqa: F401
-        names.append("numba")
-    except ImportError:
-        pass
-    return names
-
-
-def set_backend(name: str) -> ArrayBackend:
-    """Select the active backend by name.
-
-    Unknown names raise.  ``"numba"`` with no numba installed warns and
-    falls back to numpy, so a config written for a beefy machine still
-    runs (on the reference kernels) anywhere.
-    """
-    global _active
-    if name not in _KNOWN:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {', '.join(_KNOWN)}"
-        )
-    try:
-        _active = _load(name)
-    except ImportError:
-        warnings.warn(
-            f"backend {name!r} requested but its dependency is not "
-            f"installed; falling back to numpy",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        _active = _load("numpy")
-    return _active
+_active = ArrayBackend(
+    accumulate_class_stats=numpy_backend.accumulate_class_stats,
+    hw_power=numpy_backend.hw_power,
+    quantize=numpy_backend.quantize,
+    gather_delayed_windows=numpy_backend.gather_delayed_windows,
+    synthesize_rows=numpy_backend.synthesize_rows,
+)
 
 
 def get_backend() -> ArrayBackend:
-    """The active backend, resolving ``REPRO_BACKEND`` on first use."""
-    global _active
-    if _active is None:
-        requested = os.environ.get(BACKEND_ENV, "numpy")
-        if requested not in _KNOWN:
-            warnings.warn(
-                f"{BACKEND_ENV}={requested!r} is not a known backend "
-                f"({', '.join(_KNOWN)}); using numpy",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            requested = "numpy"
-        set_backend(requested)
+    """The kernel table every hot-loop call site runs on."""
     return _active

@@ -1,4 +1,4 @@
-"""Reference numpy kernels — the historical hot-loop code, moved verbatim.
+"""The numpy hot-loop kernels — the historical inline code, moved verbatim.
 
 Every function here must stay **bit-identical** to the inline code it
 replaced: the equivalence suites and the committed benchmark baselines pin
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import ArrayBackend
-
-__all__ = ["BACKEND"]
+__all__ = ["accumulate_class_stats", "gather_delayed_windows", "hw_power",
+           "quantize", "synthesize_rows"]
 
 
 def accumulate_class_stats(
@@ -199,13 +198,3 @@ def synthesize_rows(
     segments = quantize(cut, lsb, max_code)
     segments[np.arange(n_out, dtype=np.int64)[None, :] >= lengths[:, None]] = 0.0
     return segments
-
-
-BACKEND = ArrayBackend(
-    name="numpy",
-    accumulate_class_stats=accumulate_class_stats,
-    hw_power=hw_power,
-    quantize=quantize,
-    gather_delayed_windows=gather_delayed_windows,
-    synthesize_rows=synthesize_rows,
-)

@@ -347,10 +347,15 @@ class TvlaCampaign:
             # unmasked output handling: recombining the shares trivially
             # exposes the ciphertext (fixed vs random by construction),
             # which is outside any masking claim — standard TVLA practice
-            # excludes input/output handling from the verdict.
+            # excludes input/output handling from the verdict.  The scope's
+            # band-limit FIR shows the first trailer op (raw ciphertext
+            # byte 0) ``right_halo`` samples early, so those go too.
             platform = self._platforms["fixed"]
+            scope = platform.oscilloscope
             trailer = (platform.cipher.unmasked_trailer_ops
-                       * platform.oscilloscope.samples_per_op)
+                       * scope.samples_per_op)
+            if trailer:
+                trailer += scope.right_halo
             segment_length = platform.mean_co_samples() - trailer
         self.segment_length = int(segment_length)
         self.accumulator = WelchTAccumulator(threshold=threshold)

@@ -59,9 +59,10 @@ def _ge_repetition(
     """One guessing-entropy repetition, self-contained for pool workers.
 
     Rebuilds the repetition's platform from the picklable recipe (the key
-    is drawn from the platform's seeded stream, exactly as the serial
-    loop draws it), runs the full-ladder campaign with early stopping
-    disabled, and ships the checkpoint records back.
+    is drawn from the platform's seeded stream), runs the full-ladder
+    campaign with early stopping disabled, and ships the checkpoint
+    records back.  A pure function of its arguments, so a retry
+    reproduces the repetition exactly.
     """
     source = PlatformSegmentSource(
         platform_spec.build(seed),
@@ -429,68 +430,60 @@ class ExperimentEngine:
         Repetitions are independent streams, so ``workers > 1`` fans them
         over a process pool — the accumulator still folds the records in
         repetition order, making the curve identical to the serial run's.
-        The ``distinguisher`` must then be picklable (``None``, a registry
-        name, or a ``DistinguisherSpec``), not a live accumulator.
+        Both run on one :class:`~repro.runtime.retry.ShardExecutor`: a
+        repetition that raises is retried (bit-identically, it is a pure
+        function of its seed), and an error or interrupt terminates the
+        pool's workers.  A repetition that fails every attempt raises
+        :class:`~repro.runtime.retry.ShardFailure`, with its own error in
+        ``.cause``, at every worker count.  Each repetition builds its
+        own accumulator, so the ``distinguisher`` must be ``None``, a
+        registry name, or a ``DistinguisherSpec`` — not a live
+        accumulator.
         """
         from dataclasses import replace
 
+        from repro.attacks.distinguishers import resolve_distinguisher
         from repro.attacks.key_rank import geometric_checkpoints
-        from repro.evaluation.ge_curves import (
-            GuessingEntropyAccumulator,
-        )
+        from repro.evaluation.ge_curves import GuessingEntropyAccumulator
+        from repro.runtime.retry import ShardExecutor
 
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        distinguisher_spec, _ = resolve_distinguisher(
+            distinguisher, aggregate=aggregate
+        )
+        if distinguisher_spec is None:
+            raise TypeError(
+                "run_ge_curve needs a picklable DistinguisherSpec (or a "
+                "registry name), not a live accumulator — every repetition "
+                "builds its own"
+            )
         ladder = geometric_checkpoints(
             max_traces, first=first_checkpoint, growth=checkpoint_growth
         )
         ge = accumulator if accumulator is not None \
             else GuessingEntropyAccumulator()
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            from repro.attacks.distinguishers import resolve_distinguisher
-            from repro.runtime.parallel import _pool_context
-
-            spec_or_none, _ = resolve_distinguisher(
-                distinguisher, aggregate=aggregate
-            )
-            if spec_or_none is None:
-                raise TypeError(
-                    "run_ge_curve(workers=...) needs a picklable "
-                    "DistinguisherSpec (or a registry name), not a live "
-                    "accumulator — pool workers rebuild their own"
+        executor = ShardExecutor(workers)
+        try:
+            for rep in range(repetitions):
+                seed = spec.seed + rep
+                executor.submit(
+                    rep, _ge_repetition,
+                    self.platform_spec_for(replace(spec, seed=seed)), seed,
+                    segment_length, batch_size, ladder, aggregate,
+                    distinguisher_spec, max_traces,
                 )
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _ge_repetition,
-                        self.platform_spec_for(replace(spec, seed=spec.seed + rep)),
-                        spec.seed + rep, segment_length, batch_size, ladder,
-                        aggregate, spec_or_none, max_traces,
-                    )
-                    for rep in range(repetitions)
-                ]
-                for rep, future in enumerate(futures):
-                    if self.verbose:
-                        print(f"[engine] ge repetition {rep + 1}/"
-                              f"{repetitions} (seed {spec.seed + rep}) ...")
-                    ge.update(future.result())
-            return ge
-        for rep in range(repetitions):
-            rep_spec = replace(spec, seed=spec.seed + rep)
-            if self.verbose:
-                print(f"[engine] ge repetition {rep + 1}/{repetitions} "
-                      f"(seed {rep_spec.seed}) ...")
-            ge.update(_ge_repetition(
-                self.platform_spec_for(rep_spec), rep_spec.seed,
-                segment_length, batch_size, ladder, aggregate,
-                distinguisher, max_traces,
-            ))
+            for rep in range(repetitions):
+                if self.verbose:
+                    print(f"[engine] ge repetition {rep + 1}/{repetitions} "
+                          f"(seed {spec.seed + rep}) ...")
+                ge.update(executor.result(rep))
+        except BaseException:
+            executor.close(force=True)
+            raise
+        executor.close()
         return ge
 
     def run_campaigns(

@@ -75,12 +75,7 @@ from repro.runtime.campaign import (
     streak_start,
 )
 from repro.runtime.journal import CampaignJournal
-from repro.runtime.retry import (
-    RetryPolicy,
-    ShardExecutor,
-    ShardFailure,
-    pool_context as _pool_context,
-)
+from repro.runtime.retry import RetryPolicy, ShardExecutor, ShardFailure
 from repro.soc.platform import PlatformSpec
 
 __all__ = [

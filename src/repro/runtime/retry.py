@@ -28,8 +28,10 @@ needs:
 
 The executor is deliberately campaign-agnostic — it dispatches
 ``(fn, *args)`` tasks keyed by shard index — so :class:`~repro.runtime
-.parallel.ParallelCampaign` and :class:`~repro.evaluation.parallel_tvla
-.ParallelTvlaCampaign` share one fault-tolerance layer.
+.parallel.ParallelCampaign`, :class:`~repro.evaluation.parallel_tvla
+.ParallelTvlaCampaign` and the guessing-entropy repetitions of
+:meth:`~repro.runtime.engine.ExperimentEngine.run_ge_curve` share one
+fault-tolerance layer.
 """
 
 from __future__ import annotations

@@ -75,6 +75,15 @@ class Oscilloscope:
         """Volts-per-code of the ADC."""
         return self.v_range / (2**self.adc_bits - 1)
 
+    @property
+    def right_halo(self) -> int:
+        """Samples past its own index that each filtered sample reads.
+
+        This is the right edge padding of the band-limit FIR, which
+        therefore shows an op this many samples before its first sample.
+        """
+        return self._kernel.size - 1 - self._kernel.size // 2
+
     def capture(self, power: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sample an instantaneous-power sequence into a quantised trace.
 
@@ -200,7 +209,7 @@ class Oscilloscope:
         if self._kernel.size <= 1 or analog.size == 0:
             return analog
         pad = self._kernel.size // 2
-        padded = np.pad(analog, (pad, self._kernel.size - 1 - pad), mode="edge")
+        padded = np.pad(analog, (pad, self.right_halo), mode="edge")
         return np.convolve(padded, self._kernel, mode="valid")
 
     def _bandlimit_batch(self, analog: np.ndarray, lengths: "list[int]") -> np.ndarray:
@@ -216,7 +225,7 @@ class Oscilloscope:
         if k_size <= 1 or analog.size == 0:
             return analog
         pad_l = k_size // 2
-        pad_r = k_size - 1 - pad_l
+        pad_r = self.right_halo
         taps = self._kernel[::-1]
         padded = np.pad(analog, (pad_l, pad_r), mode="edge")
         out = np.zeros_like(analog)
@@ -262,7 +271,7 @@ class Oscilloscope:
         if width < k_size - 1:
             return np.vstack([self._bandlimit(row) for row in analog])
         pad_l = k_size // 2
-        pad_r = k_size - 1 - pad_l
+        pad_r = self.right_halo
         padded = np.pad(analog, ((0, 0), (pad_l, pad_r)), mode="edge")
         out = np.zeros_like(analog)
         for m, tap in enumerate(self._kernel[::-1]):
@@ -272,7 +281,7 @@ class Oscilloscope:
     def _quantize(self, analog: np.ndarray) -> np.ndarray:
         """ADC: additive-noise-free clip + round to the code grid.
 
-        Routed through the active array backend; the numpy kernel keeps
+        Routed through the ``repro.backend`` kernel table; the kernel keeps
         the historical ``np.rint`` + in-place formulation bit-identically,
         measurably faster than the textbook ``clip(round(v / lsb))`` on
         the multi-million-sample batches the batched capture path

@@ -195,13 +195,81 @@ class TestEngineGeCurveWorkers:
             ExperimentEngine(seed=0).run_ge_curve(
                 ScenarioSpec(), max_traces=100, workers=0)
 
-    def test_pool_rejects_a_live_accumulator_distinguisher(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_rejects_a_live_accumulator_distinguisher(self, workers):
         from repro.attacks.distinguishers import DistinguisherSpec
         from repro.runtime import ExperimentEngine, ScenarioSpec
 
         live = DistinguisherSpec(aggregate=8).build()
         with pytest.raises(TypeError, match="picklable"):
             ExperimentEngine(seed=0).run_ge_curve(
-                ScenarioSpec(), max_traces=100, workers=2,
-                distinguisher=live,
+                ScenarioSpec(), max_traces=100, repetitions=2,
+                workers=workers, distinguisher=live,
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_repetition_is_retried(self, workers, tmp_path,
+                                            monkeypatch):
+        from repro.runtime import FaultPlan
+        from repro.soc.platform import PlatformSpec
+
+        fault_free = self._curve(workers=1)
+        # The repetition seeded 701 (of 700..702) crashes on its first
+        # attempt.  Pool workers fork after the patch, and the plan's
+        # marker files carry its firing count across processes.
+        plan = FaultPlan.single(tmp_path, index=701, kind="crash")
+        build = PlatformSpec.build
+
+        def flaky_build(self, seed):
+            plan.maybe_fire(seed)
+            return build(self, seed)
+
+        monkeypatch.setattr(PlatformSpec, "build", flaky_build)
+        faulted = self._curve(workers=workers)
+        assert plan.fired(701) == 1
+        for a, b in zip(faulted.curve(), fault_free.curve()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_repetition_failing_every_attempt_terminates_the_workers(
+        self, workers, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+        import time
+
+        from repro.runtime import (
+            FaultPlan,
+            FaultSpec,
+            InjectedFault,
+            RetryPolicy,
+            ShardFailure,
+        )
+        from repro.soc.platform import PlatformSpec
+
+        # Seed 701 crashes on every attempt the retry policy allows while
+        # seed 702 hangs in its pool worker: the failure must surface at
+        # once and the hung worker must be killed, not waited out.
+        attempts = RetryPolicy().max_retries + 1
+        plan = FaultPlan(state_dir=str(tmp_path), faults=(
+            (701, FaultSpec(kind="crash", times=attempts)),
+            (702, FaultSpec(kind="hang", delay=120.0)),
+        ))
+        build = PlatformSpec.build
+
+        def flaky_build(self, seed):
+            plan.maybe_fire(seed)
+            return build(self, seed)
+
+        monkeypatch.setattr(PlatformSpec, "build", flaky_build)
+        begin = time.monotonic()
+        with pytest.raises(ShardFailure) as failure:
+            self._curve(workers=workers)
+        assert time.monotonic() - begin < 60
+        assert failure.value.index == 1
+        assert failure.value.attempts == attempts
+        assert isinstance(failure.value.cause, InjectedFault)
+        assert plan.fired(701) == attempts
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline and multiprocessing.active_children():
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []

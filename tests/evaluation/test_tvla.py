@@ -211,3 +211,33 @@ class TestTvlaCampaign:
         ).run(64)
         assert not masked.leakage_detected
         assert masked.countermeasure == "RD-0"
+
+    def test_unmasked_default_window_is_the_whole_co(self):
+        """No unmasked trailer, so no FIR halo to drop either."""
+        spec = _spec()
+        platform = spec.build(0)
+        assert platform.cipher.unmasked_trailer_ops == 0
+        assert TvlaCampaign(spec, seed=0).segment_length == (
+            platform.mean_co_samples())
+
+    def test_masked_default_window_drops_the_fir_halo(self):
+        """Order-1 masking passes at 8192 traces per population.
+
+        The first unmask XOR outputs raw ciphertext byte 0.  The scope's
+        band-limit FIR spreads it one sample back, before the trailer, so
+        a window that kept that sample leaked at |t| ~ 30 on this seed.
+        """
+        from repro.evaluation import ParallelTvlaCampaign
+
+        spec = _spec(cipher_name="aes_masked", masking_order=1)
+        campaign = ParallelTvlaCampaign(
+            spec, seed=2, workers=2, shard_size=1024)
+        platform = spec.build(0)
+        scope = platform.oscilloscope
+        assert campaign.segment_length == (
+            platform.mean_co_samples()
+            - platform.cipher.unmasked_trailer_ops * scope.samples_per_op
+            - scope.right_halo
+        )
+        result = campaign.run(8192)
+        assert not result.leakage_detected, result.max_abs_t

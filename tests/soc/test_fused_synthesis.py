@@ -21,28 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.backend as backend_mod
-from repro.backend import get_backend, set_backend
+from repro.backend import get_backend
 from repro.soc import RandomDelayCountermeasure, TrngModel
 from repro.soc.platform import SimulatedPlatform
 from repro.soc.random_delay import BatchDelayPlans
 from repro.soc.trace_synth import _gather_delayed_window
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    saved = backend_mod._active
-    yield
-    backend_mod._active = saved
-
-
-def _activate(name):
-    if name == "numba":
-        pytest.importorskip("numba")
-    backend = set_backend(name)
-    if backend.name != name:  # pragma: no cover - fallback path
-        pytest.skip(f"backend {name!r} unavailable (fell back)")
-    return backend
 
 
 @st.composite
@@ -102,13 +85,6 @@ class TestBatchGatherMatchesScalarReference:
     @settings(max_examples=60, deadline=None)
     @given(gather_cases())
     def test_numpy_kernel(self, case):
-        _activate("numpy")
-        self._assert_case(case)
-
-    @settings(max_examples=25, deadline=None)
-    @given(gather_cases())
-    def test_numba_kernel(self, case):
-        _activate("numba")
         self._assert_case(case)
 
     def test_all_real_no_dummies(self):
@@ -226,13 +202,6 @@ class TestFusedSynthesisMatchesUnfusedChain:
     @settings(max_examples=60, deadline=None)
     @given(synthesis_cases())
     def test_numpy_kernel(self, case):
-        _activate("numpy")
-        self._assert_case(case)
-
-    @settings(max_examples=25, deadline=None)
-    @given(synthesis_cases())
-    def test_numba_kernel(self, case):
-        _activate("numba")
         self._assert_case(case)
 
 

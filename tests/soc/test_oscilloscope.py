@@ -78,6 +78,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             Oscilloscope(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kernel, halo",
+        [
+            ((1.0,), 0),
+            ((0.2, 0.6, 0.2), 1),
+            ((0.1, 0.2, 0.3, 0.4), 1),
+            ((0.1, 0.2, 0.4, 0.2, 0.1), 2),
+        ],
+    )
+    def test_right_halo_is_how_early_an_op_shows(self, rng, kernel, halo):
+        osc = Oscilloscope(noise_std=0.0, bandwidth_kernel=kernel)
+        power = np.zeros(8)
+        power[4] = 40.0
+        trace = osc.capture(power, rng)
+        assert osc.right_halo == halo
+        assert np.flatnonzero(trace)[0] == osc.op_to_sample(4) - halo
+
     def test_rejects_2d_power(self, rng):
         with pytest.raises(ValueError):
             Oscilloscope().capture(np.ones((2, 2)), rng)

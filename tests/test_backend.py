@@ -1,72 +1,47 @@
-"""Array-backend registry and kernel equivalence tests.
+"""Hot-loop kernel table tests.
 
-The numpy backend *is* the historical inline code moved verbatim, so the
-suite's many bit-stability tests already cover it transitively; here we
-pin the registry semantics (selection, env resolution, fallback warnings)
-and — when numba is installed — the numba kernels' agreement with the
-numpy reference.
+The kernels *are* the historical inline code moved verbatim, so the
+suite's many bit-stability tests already cover them transitively; here we
+pin their definitions and the seam the kernel table exposes: call sites
+look ``repro.backend._active`` up when they run, so replacing it reaches
+them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
-import pytest
 
 import repro.backend as backend_mod
-from repro.backend import (
-    BACKEND_ENV,
-    available_backends,
-    get_backend,
-    set_backend,
-)
+from repro.backend import ArrayBackend, get_backend, numpy_backend
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Leave the module-level backend state exactly as found."""
-    saved = backend_mod._active
-    yield
-    backend_mod._active = saved
+def _count_calls(monkeypatch, kernel):
+    """Swap in a table copy whose ``kernel`` records each call's args."""
+    calls = []
+    active = get_backend()
+    original = getattr(active, kernel)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(backend_mod, "_active", dataclasses.replace(
+        active, **{kernel: counting}))
+    return calls
 
 
-class TestRegistry:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        backend_mod._active = None
-        assert get_backend().name == "numpy"
-
-    def test_set_backend_numpy(self):
-        assert set_backend("numpy").name == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_backend("cupy")
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        backend_mod._active = None
-        assert get_backend().name == "numpy"
-
-    def test_invalid_env_warns_and_uses_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fortran")
-        backend_mod._active = None
-        with pytest.warns(RuntimeWarning, match="not a known backend"):
-            assert get_backend().name == "numpy"
-
-    def test_numba_falls_back_when_missing(self):
-        if "numba" in available_backends():
-            pytest.skip("numba installed; fallback path not reachable")
-        with pytest.warns(RuntimeWarning, match="falling back to numpy"):
-            assert set_backend("numba").name == "numpy"
-
-    def test_available_backends_always_lists_numpy(self):
-        assert "numpy" in available_backends()
+class TestKernelTable:
+    def test_the_table_holds_the_numpy_kernels(self):
+        for field in dataclasses.fields(ArrayBackend):
+            assert getattr(get_backend(), field.name) is getattr(
+                numpy_backend, field.name)
 
 
 class TestNumpyKernels:
     def test_hw_power_matches_definition(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         table = np.asarray([0.0, 7.0, 10.0, 16.0, 14.0, 18.0])
         values = np.asarray([0, 1, 3, (1 << 64) - 1], dtype=np.uint64)
         kinds = np.asarray([1, 2, 4, 5], dtype=np.int64)
@@ -76,7 +51,7 @@ class TestNumpyKernels:
         )
 
     def test_quantize_clips_and_rounds(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         lsb, max_code = 0.25, 15
         analog = np.asarray([-1.0, 0.1, 0.125, 3.7, 99.0])
         out = backend.quantize(analog, lsb, max_code)
@@ -84,7 +59,7 @@ class TestNumpyKernels:
         np.testing.assert_allclose(out, [0.0, 0.0, 0.0, 3.75, 3.75])
 
     def test_accumulate_class_stats_matches_bruteforce(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         rng = np.random.default_rng(5)
         n, m, b = 200, 17, 3
         t = rng.normal(size=(n, m))
@@ -121,16 +96,15 @@ def _window_kernel_case(seed=7, batch=5, n32=40, max_delay=3):
 
 
 class TestNumpyWindowKernels:
-    """The new RD-window kernels on the numpy backend.
+    """The RD-window kernels' shapes, dtypes and padding.
 
     The deep equivalence coverage (hypothesis over the parameter space,
     scalar references, golden digests) lives in
-    ``tests/soc/test_fused_synthesis.py``; here we pin shapes, dtypes,
-    and the registry wiring.
+    ``tests/soc/test_fused_synthesis.py``.
     """
 
     def test_gather_returns_padded_matrix(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         stacked, values32, kinds32, los, widths = _window_kernel_case()
         out_values, out_kinds = backend.gather_delayed_windows(
             stacked.positions, values32, kinds32,
@@ -143,7 +117,7 @@ class TestNumpyWindowKernels:
         assert out_kinds.dtype == np.uint8
 
     def test_synthesize_rows_shape_and_padding(self):
-        backend = set_backend("numpy")
+        backend = get_backend()
         rng = np.random.default_rng(3)
         power = rng.uniform(0.0, 40.0, size=(4, 20))
         widths = np.asarray([20, 20, 7, 1], dtype=np.int64)
@@ -162,79 +136,38 @@ class TestNumpyWindowKernels:
         assert out[3, 2] == out[3, 3] == out[3, 4]
 
 
-class TestNumbaKernels:
-    """Numba backend vs the numpy reference (skipped without numba)."""
+class TestKernelTableSeam:
+    def test_a_replaced_table_reaches_the_fast_capture_path(self, monkeypatch):
+        from repro.soc.platform import SimulatedPlatform
 
-    @pytest.fixture()
-    def pair(self):
-        pytest.importorskip("numba")
-        numba_backend = set_backend("numba")
-        if numba_backend.name != "numba":  # pragma: no cover
-            pytest.skip("numba import succeeded but backend fell back")
-        return set_backend("numpy"), numba_backend
+        calls = _count_calls(monkeypatch, "synthesize_rows")
+        platform = SimulatedPlatform(
+            "aes", max_delay=2, seed=3, capture_mode="fast")
+        segments, _ = platform.capture_attack_segments(
+            12, bytes(16), segment_length=90, batch_size=8)
+        assert segments.shape == (12, 90)
+        assert [args[0].shape[0] for args in calls] == [8, 4]
 
-    def test_hw_power_agrees(self, pair):
-        ref, jit = pair
+    def test_a_replaced_table_reaches_the_leakage_model(self, monkeypatch):
+        from repro.soc import HammingWeightLeakage
+
+        calls = _count_calls(monkeypatch, "hw_power")
+        values = np.asarray([0, 1, 3], dtype=np.uint64)
+        kinds = np.asarray([1, 2, 4], dtype=np.int64)
+        HammingWeightLeakage().power(values, kinds)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][2], values)
+
+    def test_a_replaced_table_reaches_the_distinguisher_scatter(
+        self, monkeypatch
+    ):
+        from repro.attacks.distinguishers import CpaDistinguisher
+
+        calls = _count_calls(monkeypatch, "accumulate_class_stats")
         rng = np.random.default_rng(0)
-        table = np.asarray([2.0, 7.0, 10.0, 16.0, 14.0, 18.0])
-        values = rng.integers(0, 1 << 62, size=4096, dtype=np.int64).astype(np.uint64)
-        kinds = rng.integers(0, 6, size=4096, dtype=np.int64)
-        np.testing.assert_allclose(
-            jit.hw_power(table, 1.0, values, kinds),
-            ref.hw_power(table, 1.0, values, kinds),
-        )
-
-    def test_quantize_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(1)
-        analog = rng.normal(20.0, 15.0, size=4096)
-        np.testing.assert_array_equal(
-            jit.quantize(analog, 48.0 / 4095, 4095),
-            ref.quantize(analog, 48.0 / 4095, 4095),
-        )
-
-    def test_accumulate_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(2)
-        t = rng.normal(size=(512, 40))
-        pts = rng.integers(0, 256, size=(512, 4), dtype=np.int64).astype(np.uint8)
-        c_ref = np.zeros((4, 256)); s_ref = np.zeros((4, 256, 40))
-        c_jit = np.zeros((4, 256)); s_jit = np.zeros((4, 256, 40))
-        ref.accumulate_class_stats(c_ref, s_ref, t, pts)
-        jit.accumulate_class_stats(c_jit, s_jit, t, pts)
-        np.testing.assert_array_equal(c_jit, c_ref)
-        np.testing.assert_allclose(s_jit, s_ref, atol=1e-9)
-
-    def test_gather_delayed_windows_agrees(self, pair):
-        ref, jit = pair
-        stacked, values32, kinds32, los, widths = _window_kernel_case()
-        args = (
-            stacked.positions, values32, kinds32, stacked.dummy_values,
-            stacked.dummy_kinds, stacked.dummy_bounds, los, widths,
-        )
-        ref_values, ref_kinds = ref.gather_delayed_windows(*args)
-        jit_values, jit_kinds = jit.gather_delayed_windows(*args)
-        np.testing.assert_array_equal(jit_values, ref_values)
-        np.testing.assert_array_equal(jit_kinds, ref_kinds)
-
-    def test_synthesize_rows_agrees(self, pair):
-        ref, jit = pair
-        rng = np.random.default_rng(9)
-        batch, w_ops, spp, n_out = 6, 25, 2, 40
-        power = rng.uniform(0.0, 40.0, size=(batch, w_ops))
-        widths = rng.integers(1, w_ops + 1, size=batch).astype(np.int64)
-        offsets = rng.integers(0, w_ops * spp, size=batch).astype(np.int64)
-        lengths = rng.integers(0, n_out + 1, size=batch).astype(np.int64)
-        pulse = np.linspace(1.0, 0.55, spp)
-        kernel = np.asarray([0.2, 0.6, 0.2])
-        for noise in (None, rng.standard_normal((batch, 16)).astype(np.float32)):
-            np.testing.assert_array_equal(
-                jit.synthesize_rows(
-                    power, widths, pulse, kernel, offsets, n_out, lengths,
-                    noise, 48.0 / 4095, 4095,
-                ),
-                ref.synthesize_rows(
-                    power, widths, pulse, kernel, offsets, n_out, lengths,
-                    noise, 48.0 / 4095, 4095,
-                ),
-            )
+        cpa = CpaDistinguisher()
+        for rows in (30, 20):
+            cpa.update(rng.normal(size=(rows, 5)),
+                       rng.integers(0, 256, size=(rows, 16), dtype=np.uint8))
+        cpa.key_ranks(bytes(16))
+        assert sum(args[2].shape[0] for args in calls) == 50

@@ -306,7 +306,3 @@ class TestCliTvlaParallel:
         capsys.readouterr()
         assert main(argv) == 2
         assert "--workers" in capsys.readouterr().err
-
-    def test_rejects_an_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(["tvla", "--traces", "4", "--backend", "bogus"])

@@ -38,10 +38,12 @@ The capture countermeasures stack via ``--countermeasure`` (``shuffle``,
 Parallel campaigns (``campaign``/``tvla`` with ``--workers``) are fault
 tolerant: failed shards retry with exponential backoff (``--max-retries``
 / ``--retry-backoff``), hung shards are cancelled by the ``--shard-timeout``
-watchdog, and a run whose shards exhaust their retries exits 3 with a
-partial result over the merged prefix (exit 4 when no shard completed at
-all; re-running the same command resumes just the missing work).
+watchdog, and re-running the same command resumes just the missing work.
 ``--status`` prints the campaign journal kept under ``--store``.
+
+Exit codes, for every command: 0/1 the verdict; 2 a usage error, or an
+incompatible, corrupt or missing input; 3 a partial result (some shards
+exhausted their retries); 4 a failed run (no shard completed).
 """
 
 from __future__ import annotations
@@ -53,9 +55,18 @@ import numpy as np
 
 from repro.config import default_config
 from repro.core.locator import CryptoLocator
+from repro.errors import (
+    IncompatibleArtifactError,
+    ReproError,
+    ShardFailure,
+    UsageError,
+    require_compatible,
+)
 from repro.evaluation import match_hits
 from repro.evaluation.experiments import default_tolerance
 from repro.soc import SimulatedPlatform
+
+_CIPHERS = ("aes", "aes_masked", "camellia", "clefia", "simon")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -72,12 +83,12 @@ def _parse_window(text: str) -> tuple[int, int]:
 _COUNTERMEASURE_CHOICES = "none, shuffle, jitter, jitter-N (N in 1..99)"
 
 
-def _parse_countermeasures(text: str | None) -> tuple[bool, int] | None:
+def _parse_countermeasures(text: str | None) -> tuple[bool, int]:
     """Parse ``--countermeasure`` into ``(shuffle, jitter_strength)``.
 
     Accepts a comma-separated combination of ``none``, ``shuffle``,
-    ``jitter`` (strength 10) and ``jitter-N``.  Prints the valid choices
-    and returns ``None`` for anything else — the caller exits 2.
+    ``jitter`` (strength 10) and ``jitter-N``; anything else is a usage
+    error listing the valid choices.
     """
     shuffle = False
     jitter = 0
@@ -90,29 +101,25 @@ def _parse_countermeasures(text: str | None) -> tuple[bool, int] | None:
         elif token == "jitter":
             jitter = 10
         elif token.startswith("jitter-"):
-            try:
-                jitter = int(token[len("jitter-"):])
-            except ValueError:
-                jitter = -1
+            strength = token[len("jitter-"):]
+            jitter = int(strength) if strength.isdigit() else -1
             if not 1 <= jitter <= 99:
-                print(f"invalid jitter strength in {token!r}; valid "
-                      f"countermeasures: {_COUNTERMEASURE_CHOICES}",
-                      file=sys.stderr)
-                return None
+                raise UsageError(
+                    f"invalid jitter strength in {token!r}; valid "
+                    f"countermeasures: {_COUNTERMEASURE_CHOICES}"
+                )
         else:
-            print(f"unknown countermeasure {token!r}; valid choices: "
-                  f"{_COUNTERMEASURE_CHOICES}", file=sys.stderr)
-            return None
+            raise UsageError(f"unknown countermeasure {token!r}; valid "
+                             f"choices: {_COUNTERMEASURE_CHOICES}")
     return shuffle, jitter
 
 
-def _distinguisher_spec(args: argparse.Namespace, cipher: str | None = None):
+def _distinguisher_spec(args: argparse.Namespace, platform=None):
     """Validate the distinguisher CLI options into a buildable spec.
 
-    Prints the valid choices and returns ``None`` (the caller exits 2) for
-    unknown distinguisher / leakage-model names or inconsistent options —
-    the registry raises ``ValueError`` listing the valid names, so one
-    ``spec.build()`` probe covers every combination.
+    ``cpa2`` derives its windows from the target's ``platform`` spec.  Bad
+    names and inconsistent options are usage errors — the registry lists
+    the valid names, so one ``spec.build()`` probe covers every combination.
     """
     from repro.attacks.distinguishers import (
         DistinguisherSpec,
@@ -122,37 +129,28 @@ def _distinguisher_spec(args: argparse.Namespace, cipher: str | None = None):
     window1 = getattr(args, "window1", None)
     window2 = getattr(args, "window2", None)
     aggregate = args.aggregate
-    profile = getattr(args, "profile", None)
     if args.distinguisher in ("template", "nnp") and aggregate != 1:
         # Profiles score the raw sample space they were built in.
         aggregate = 1
         print(f"{args.distinguisher} scores the profile's sample space; "
               f"aggregate forced to 1")
     if args.distinguisher == "cpa2" and window1 is None and window2 is None:
-        if cipher != "aes_masked":
-            print("cpa2 needs --window1/--window2 sample windows (they are "
-                  "derived automatically only for --cipher aes_masked)",
-                  file=sys.stderr)
-            return None
-        if getattr(args, "rd", 0) != 0:
-            print("cpa2 window derivation needs --rd 0: random delay "
-                  "smears the two op windows apart, so the sample pairing "
-                  "(and the attack) breaks under RD-2/RD-4",
-                  file=sys.stderr)
-            return None
-        countermeasures = _parse_countermeasures(
-            getattr(args, "countermeasure", None)
-        )
-        if countermeasures is None:
-            return None
-        if countermeasures != (False, 0):
-            print("cpa2 window derivation needs a deterministic op layout: "
-                  "shuffling permutes the two op windows and clock jitter "
-                  "drifts the sample grid, so the fixed sample pairing "
-                  "breaks under --countermeasure shuffle/jitter",
-                  file=sys.stderr)
-            return None
-        shares = getattr(args, "masking_order", 1) + 1
+        if platform is None or platform.cipher_name != "aes_masked":
+            raise UsageError("cpa2 needs --window1/--window2 sample windows "
+                             "(they are derived automatically only for "
+                             "--cipher aes_masked)")
+        if platform.max_delay != 0:
+            raise UsageError("cpa2 window derivation needs --rd 0: random "
+                             "delay smears the two op windows apart, so the "
+                             "sample pairing (and the attack) breaks under "
+                             "RD-2/RD-4")
+        if platform.shuffle or platform.jitter:
+            raise UsageError("cpa2 window derivation needs a deterministic op "
+                             "layout: shuffling permutes the two op windows "
+                             "and clock jitter drifts the sample grid, so the "
+                             "fixed sample pairing breaks under "
+                             "--countermeasure shuffle/jitter")
+        shares = platform.masking_order + 1
         window1, window2 = masked_aes_windows(shares=shares)
         # The derived windows live in raw sample space; aggregation would
         # shift them.
@@ -167,50 +165,25 @@ def _distinguisher_spec(args: argparse.Namespace, cipher: str | None = None):
         window1=window1,
         window2=window2,
         basis=getattr(args, "basis", "bits"),
-        profile=profile,
+        profile=getattr(args, "profile", None),
     )
     try:
         spec.build()
     except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return None
+        raise UsageError(str(error)) from error
     return spec
 
 
-def _check_profile_target(spec, args: argparse.Namespace) -> int | None:
-    """Cross-check a profiled spec against the campaign's target options.
-
-    Returns the profile's segment length (for defaulting
-    ``--segment-length``) or ``None`` after printing the mismatch — a
-    profile built on one cipher/RD configuration scores garbage on
-    another, so refusing beats silently diverging.
-    """
-    from repro.profiled import load_manifest
-
-    try:
-        manifest = load_manifest(spec.profile)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return None
-    meta = manifest.get("meta", {})
-    for option in ("cipher", "rd"):
-        profiled = meta.get(option)
-        requested = getattr(args, option)
-        if profiled is not None and profiled != requested:
-            print(f"profile {spec.profile} was built on "
-                  f"--{option} {profiled}, campaign targets "
-                  f"--{option} {requested}", file=sys.stderr)
-            return None
-    segment_length = int(manifest["segment_length"])
-    if args.segment_length is not None and args.segment_length != segment_length:
-        print(f"profile {spec.profile} was built on {segment_length}-sample "
-              f"segments; --segment-length {args.segment_length} cannot be "
-              f"scored against it", file=sys.stderr)
-        return None
-    return segment_length
-
-
-def _add_fault_tolerance_options(parser: argparse.ArgumentParser) -> None:
+def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="shard the capture over a process pool; at a fixed "
+             "--shard-size the merged result is identical for any worker "
+             "count")
+    parser.add_argument(
+        "--shard-size", type=int, default=1024,
+        help="traces (per population, for tvla) per shard — the unit of "
+             "parallel work, seed derivation and checkpoint alignment")
     parser.add_argument(
         "--max-retries", type=int, default=None,
         help="failed-shard retry budget before the campaign degrades to a "
@@ -247,72 +220,80 @@ def _add_countermeasure_options(parser: argparse.ArgumentParser) -> None:
              "(2 = three-share second-order datapath)")
 
 
+def _add_target_options(
+    parser: argparse.ArgumentParser, traces: int, traces_help: str
+) -> None:
+    """The capture-target options ``campaign``, ``profile`` and ``tvla`` share."""
+    parser.add_argument("--cipher", default="aes", choices=_CIPHERS)
+    parser.add_argument("--rd", type=int, default=0, choices=(0, 2, 4),
+                        help="random-delay configuration")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--traces", type=int, default=traces, help=traces_help)
+    parser.add_argument("--store", default=None,
+                        help="trace-store directory; reuse to resume")
+    parser.add_argument("--segment-length", type=int, default=None,
+                        help="samples per segment (default: mean CO length)")
+    parser.add_argument("--batch-size", type=int, default=256,
+                        help="traces per capture batch")
+    parser.add_argument("--noise-std", type=float, default=1.0,
+                        help="oscilloscope acquisition noise")
+    _add_capture_mode_option(parser)
+    _add_countermeasure_options(parser)
+
+
 def _resolve_countermeasures(
     args: argparse.Namespace, ciphers=None
-) -> tuple[bool, int] | None:
+) -> tuple[bool, int]:
     """Validate the countermeasure options against the other target options.
 
-    Returns ``(shuffle, jitter)`` or ``None`` after printing the problem
-    (unknown name, masking order on an unmasked cipher, jitter under fast
-    capture) — the caller exits 2.
+    Returns ``(shuffle, jitter)``; an unknown name, a masking order on an
+    unmasked cipher, or jitter under fast capture is a usage error.
     """
     ciphers = list(ciphers) if ciphers is not None else [args.cipher]
-    countermeasures = _parse_countermeasures(
-        getattr(args, "countermeasure", None)
-    )
-    if countermeasures is None:
-        return None
-    shuffle, jitter = countermeasures
+    shuffle, jitter = _parse_countermeasures(args.countermeasure)
     unmasked = [c for c in ciphers if c != "aes_masked"]
-    if getattr(args, "masking_order", 1) != 1 and unmasked:
-        print(f"--masking-order {args.masking_order} needs cipher "
-              f"aes_masked; {', '.join(unmasked)} has no masked datapath",
-              file=sys.stderr)
-        return None
+    if args.masking_order != 1 and unmasked:
+        raise UsageError(f"--masking-order {args.masking_order} needs cipher "
+                         f"aes_masked; {', '.join(unmasked)} has no masked "
+                         f"datapath")
     unshuffleable = [c for c in ciphers if c != "aes"]
     if shuffle and unshuffleable:
-        print(f"--countermeasure shuffle is only wired for cipher aes "
-              f"({', '.join(unshuffleable)} declares no shuffle groups)",
-              file=sys.stderr)
-        return None
-    if jitter and getattr(args, "capture_mode", "exact") == "fast":
-        print("--countermeasure jitter resamples whole traces and is not "
-              "supported with --capture-mode fast", file=sys.stderr)
-        return None
+        raise UsageError(f"--countermeasure shuffle is only wired for cipher "
+                         f"aes ({', '.join(unshuffleable)} declares no "
+                         f"shuffle groups)")
+    if jitter and args.capture_mode == "fast":
+        raise UsageError("--countermeasure jitter resamples whole traces and "
+                         "is not supported with --capture-mode fast")
     return shuffle, jitter
 
 
-def _check_store_config(path, capture_mode: str, countermeasure: str) -> bool:
-    """Refuse resuming a store captured under a different configuration.
+def _platform_spec(args: argparse.Namespace):
+    """The :class:`~repro.soc.platform.PlatformSpec` the target options name."""
+    from repro.soc.platform import PlatformSpec
 
-    Probes the existing store's manifest *before* ``open_or_create`` gets
-    to enforce the capture key, so the user sees which configuration
-    knob actually diverged (the countermeasure TRNG also shifts the
-    derived key, which would otherwise surface as an opaque key
-    mismatch).  Returns ``False`` after printing when the store holds
-    traces from another capture mode or countermeasure stack.
-    """
+    if args.batch_size < 1:
+        raise UsageError("--batch-size must be >= 1")
+    shuffle, jitter = _resolve_countermeasures(args)
+    return PlatformSpec(
+        cipher_name=args.cipher, max_delay=args.rd, noise_std=args.noise_std,
+        capture_mode=args.capture_mode, shuffle=shuffle, jitter=jitter,
+        masking_order=args.masking_order,
+    )
+
+
+def _open_store(args: argparse.Namespace, path, source, platform):
+    """Open or create the serial trace store a capture command resumes."""
     from repro.campaign import TraceStore
 
-    try:
-        store = TraceStore.open(path)
-    except FileNotFoundError:
-        return True
-    if not len(store):
-        return True
-    stored_mode = store.meta.get("capture_mode", "exact")
-    if stored_mode != capture_mode:
-        print(f"{path} was captured in {stored_mode!r} capture mode; "
-              f"resuming it in {capture_mode!r} would splice two "
-              f"different trace streams", file=sys.stderr)
-        return False
-    stored_cm = store.meta.get("countermeasure")
-    if stored_cm is not None and stored_cm != countermeasure:
-        print(f"{path} was captured under countermeasure {stored_cm!r}; "
-              f"resuming it under {countermeasure!r} would splice two "
-              f"different trace streams", file=sys.stderr)
-        return False
-    return True
+    return TraceStore.open_or_create(
+        path,
+        n_samples=source.n_samples,
+        block_size=source.block_size,
+        key=source.true_key,
+        meta={"cipher": args.cipher, "rd": args.rd, "seed": args.seed,
+              "capture_mode": args.capture_mode,
+              "countermeasure": platform.countermeasure_name},
+    )
 
 
 def _add_distinguisher_options(
@@ -338,13 +319,20 @@ def _add_distinguisher_options(
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cipher", default="aes",
-                        choices=("aes", "aes_masked", "camellia", "clefia", "simon"))
+    parser.add_argument("--cipher", default="aes", choices=_CIPHERS)
     parser.add_argument("--rd", type=int, default=4, choices=(0, 2, 4),
                         help="random-delay configuration")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scale", type=float, default=1 / 32,
                         help="dataset scale relative to Table I")
+
+
+def _add_session_options(parser: argparse.ArgumentParser, cos: int) -> None:
+    """Options of the commands that run a saved locator on a fresh session."""
+    _add_common(parser)
+    parser.add_argument("--model", default="locator.npz")
+    parser.add_argument("--cos", type=int, default=cos)
+    parser.add_argument("--consecutive", action="store_true")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -359,18 +347,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_locator(args: argparse.Namespace) -> CryptoLocator:
+def _attack_session(args: argparse.Namespace):
+    """The saved locator, refused unless fitted for this target, and a session."""
     config = default_config(args.cipher, dataset_scale=args.scale)
-    return CryptoLocator(config, seed=args.seed + 1).load(args.model)
-
-
-def cmd_locate(args: argparse.Namespace) -> int:
-    """``repro locate``: find COs in a fresh attack session."""
-    locator = _load_locator(args)
+    locator = CryptoLocator(config, seed=args.seed + 1).load(
+        args.model, max_delay=args.rd
+    )
     target = SimulatedPlatform(args.cipher, max_delay=args.rd, seed=args.seed + 100)
     session = target.capture_session_trace(
         args.cos, noise_interleaved=not args.consecutive
     )
+    return locator, session
+
+
+def cmd_locate(args: argparse.Namespace) -> int:
+    """``repro locate``: find COs in a fresh attack session."""
+    locator, session = _attack_session(args)
     starts = locator.locate(session.trace)
     stats = match_hits(starts, session.true_starts, default_tolerance(locator.config))
     print(f"located {starts.size} COs in a {session.trace.size}-sample trace")
@@ -383,11 +375,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     from repro.attacks.distinguishers import CpaDistinguisher
     from repro.evaluation.experiments import aligned_attack_set
 
-    locator = _load_locator(args)
-    target = SimulatedPlatform(args.cipher, max_delay=args.rd, seed=args.seed + 100)
-    session = target.capture_session_trace(
-        args.cos, noise_interleaved=not args.consecutive
-    )
+    locator, session = _attack_session(args)
     located = locator.locate(session.trace)
     segments, plaintexts = aligned_attack_set(locator, session, located)
     if segments.shape[0] < 8:
@@ -411,28 +399,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     ciphers = [c.strip() for c in args.ciphers.split(",") if c.strip()]
     unknown = sorted(set(ciphers) - set(available_ciphers()))
     if unknown:
-        print(f"unknown cipher(s): {', '.join(unknown)}; "
-              f"available: {', '.join(available_ciphers())}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown cipher(s): {', '.join(unknown)}; "
+                         f"available: {', '.join(available_ciphers())}")
     if args.batch_size < 1:
-        print("--batch-size must be >= 1", file=sys.stderr)
-        return 2
-    if args.distinguisher == "cpa2":
-        print("cpa2 needs explicit sample windows; run it through "
-              "`repro campaign --distinguisher cpa2`", file=sys.stderr)
-        return 2
-    if args.distinguisher in ("template", "nnp"):
-        print(f"{args.distinguisher} scores fixed profile segments; run it "
-              f"through `repro campaign --distinguisher {args.distinguisher} "
-              f"--profile DIR`", file=sys.stderr)
-        return 2
-    countermeasures = _resolve_countermeasures(args, ciphers=ciphers)
-    if countermeasures is None:
-        return 2
-    shuffle, jitter = countermeasures
+        raise UsageError("--batch-size must be >= 1")
+    if args.distinguisher in ("cpa2", "template", "nnp"):
+        raise UsageError(f"{args.distinguisher} needs sample windows or a "
+                         f"profile the sweep cannot supply; run it through "
+                         f"`repro campaign --distinguisher "
+                         f"{args.distinguisher}`")
+    shuffle, jitter = _resolve_countermeasures(args, ciphers=ciphers)
     distinguisher = _distinguisher_spec(args)
-    if distinguisher is None:
-        return 2
     plan = BatchPlan.sweep(
         ciphers=ciphers,
         max_delays=[int(r) for r in args.rds.split(",") if r.strip()],
@@ -472,149 +449,119 @@ def _campaign_status(store) -> int:
     from repro.runtime.journal import CampaignJournal
 
     if store is None:
-        print("--status needs --store (the campaign's store root)",
-              file=sys.stderr)
-        return 2
+        raise UsageError("--status needs --store (the campaign's store root)")
     root = Path(store)
     if not root.exists():
-        print(f"no campaign at {store}: directory does not exist",
-              file=sys.stderr)
-        return 2
-    try:
-        journal = CampaignJournal.load(root)
-    except FileNotFoundError:
-        if (root / "manifest.json").exists():
-            print(f"{store} holds a serial trace store (no journal); "
-                  f"journals are written by parallel campaigns (--workers)",
-                  file=sys.stderr)
-        else:
-            print(f"no campaign journal under {store}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"{error}; delete journal.json to reset it", file=sys.stderr)
-        return 2
-    print(journal.describe())
+        raise FileNotFoundError(
+            f"no campaign at {store}: directory does not exist")
+    if (root / "manifest.json").exists():
+        raise UsageError(f"{store} holds a serial trace store (no journal); "
+                         f"journals are written by parallel campaigns "
+                         f"(--workers)")
+    print(CampaignJournal.load(root).describe())
     return 0
 
 
-def _resolve_fault_tolerance(args) -> tuple[int, float, float | None] | None:
-    """Validate the retry flags; ``None`` means reject with exit 2."""
-    if args.workers is None and any(
-        value is not None
-        for value in (args.max_retries, args.retry_backoff, args.shard_timeout)
-    ):
-        print("--max-retries/--retry-backoff/--shard-timeout apply to the "
-              "sharded parallel path; pass --workers", file=sys.stderr)
-        return None
-    max_retries = 2 if args.max_retries is None else args.max_retries
-    backoff = 0.5 if args.retry_backoff is None else args.retry_backoff
-    if max_retries < 0:
-        print("--max-retries must be >= 0", file=sys.stderr)
-        return None
-    if backoff < 0:
-        print("--retry-backoff must be >= 0", file=sys.stderr)
-        return None
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        print("--shard-timeout must be > 0 seconds", file=sys.stderr)
-        return None
-    return max_retries, backoff, args.shard_timeout
+def _retry_options(args: argparse.Namespace) -> dict:
+    """The retry flags given, as sharded-campaign keyword arguments.
+
+    Their values are validated by the campaign's
+    :class:`~repro.runtime.retry.RetryPolicy`.
+    """
+    if args.workers is not None and args.workers < 1:
+        raise UsageError("--workers must be >= 1")
+    if args.shard_size < 1:
+        raise UsageError("--shard-size must be >= 1")
+    retry = {"max_retries": args.max_retries,
+             "retry_backoff": args.retry_backoff,
+             "shard_timeout": args.shard_timeout}
+    retry = {name: value for name, value in retry.items() if value is not None}
+    if retry and args.workers is None:
+        raise UsageError("--max-retries/--retry-backoff/--shard-timeout apply "
+                         "to the sharded parallel path; pass --workers")
+    return retry
+
+
+def _outcome(result, success: bool, scope: str) -> int:
+    """Exit 3 for a partial sharded result, else 0 on ``success``, else 1."""
+    if result.partial:
+        print(f"PARTIAL RESULT: shards {list(result.failed_shards)} "
+              f"exhausted their retries; {scope} the merged shard prefix "
+              f"only. Re-run the same command to retry just the failed "
+              f"shards.", file=sys.stderr)
+        return 3
+    return 0 if success else 1
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """``repro campaign``: streaming capture→store→accumulate→rank attack."""
-    from repro.campaign import TraceStore
     from repro.evaluation import format_campaign
     from repro.runtime.campaign import AttackCampaign, PlatformSegmentSource
-    from repro.soc.platform import PlatformSpec
+    from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
 
-    if args.status:
-        return _campaign_status(args.store)
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    fault_tolerance = _resolve_fault_tolerance(args)
-    if fault_tolerance is None:
-        return 2
-    countermeasures = _resolve_countermeasures(args)
-    if countermeasures is None:
-        return 2
-    shuffle, jitter = countermeasures
-    spec = _distinguisher_spec(args, cipher=args.cipher)
-    if spec is None:
-        return 2
+    retry = _retry_options(args)
+    platform_spec = _platform_spec(args)
+    spec = _distinguisher_spec(args, platform_spec)
     segment_length = args.segment_length
     if spec.profile is not None:
-        segment_length = _check_profile_target(spec, args)
-        if segment_length is None:
-            return 2
+        from repro.profiled import load_manifest
+
+        # A profile built on one cipher/RD/segment scores garbage on another.
+        manifest = load_manifest(spec.profile, cipher=args.cipher, rd=args.rd,
+                                 segment_length=args.segment_length)
+        segment_length = int(manifest["segment_length"])
         if args.segment_length is None:
             print(f"segment length {segment_length} (from the profile)")
-    platform_spec = PlatformSpec(
-        cipher_name=args.cipher, max_delay=args.rd, noise_std=args.noise_std,
-        capture_mode=args.capture_mode, shuffle=shuffle, jitter=jitter,
-        masking_order=args.masking_order,
-    )
     platform = platform_spec.build(args.seed)
     source = PlatformSegmentSource(
         platform, segment_length=segment_length, batch_size=args.batch_size
     )
-    if args.workers is not None:
-        return _run_parallel_campaign(
-            args, source, spec, platform_spec, fault_tolerance
-        )
+    settings = dict(first_checkpoint=args.first_checkpoint,
+                    checkpoint_growth=args.growth,
+                    rank1_patience=args.patience,
+                    batch_size=args.batch_size, distinguisher=spec)
     store = None
-    if args.store is not None:
-        from repro.runtime.parallel import is_shard_store_root
-
-        if is_shard_store_root(args.store):
-            print(f"{args.store} holds per-shard stores from a parallel "
-                  f"campaign; resume it with --workers", file=sys.stderr)
-            return 2
-        if not _check_store_config(args.store, args.capture_mode,
-                                   platform.countermeasure_name):
-            return 2
-        try:
-            store = TraceStore.open_or_create(
-                args.store,
-                n_samples=source.n_samples,
-                block_size=source.block_size,
-                key=source.true_key,
-                meta={"cipher": args.cipher, "rd": args.rd,
-                      "seed": args.seed,
-                      "capture_mode": args.capture_mode,
-                      "countermeasure": platform.countermeasure_name},
-            )
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(f"store: {store.path} ({len(store)} traces on disk)")
-    campaign = AttackCampaign(
-        source,
-        store=store,
-        first_checkpoint=args.first_checkpoint,
-        checkpoint_growth=args.growth,
-        rank1_patience=args.patience,
-        batch_size=args.batch_size,
-        distinguisher=spec,
-    )
-    if campaign.resumed_from:
-        print(f"resumed {campaign.resumed_from} traces from the store")
-    print(f"campaign: {args.cipher} RD-{args.rd}, {spec.name} distinguisher, "
-          f"{source.n_samples}-sample segments, aggregate {spec.aggregate}, "
-          f"<= {args.traces} traces")
+    if args.workers is not None:
+        campaign = ParallelCampaign(
+            PlatformCampaignSpec(
+                platform=platform_spec, key=source.true_key,
+                segment_length=source.n_samples, batch_size=args.batch_size,
+            ),
+            seed=args.seed, workers=args.workers, shard_size=args.shard_size,
+            store_root=args.store, **settings, **retry,
+        )
+        name = "parallel campaign"
+        shards = f"{args.workers} workers x {args.shard_size}-trace shards, "
+        if args.store is not None:
+            print(f"store root: {args.store} (one trace store per shard)")
+    else:
+        if args.store is not None:
+            store = _open_store(args, args.store, source, platform)
+            print(f"store: {store.path} ({len(store)} traces on disk)")
+        campaign = AttackCampaign(source, store=store, **settings)
+        if campaign.resumed_from:
+            print(f"resumed {campaign.resumed_from} traces from the store")
+        name, shards = "campaign", ""
+    print(f"{name}: {args.cipher} RD-{args.rd}, {spec.name} distinguisher, "
+          f"{shards}{source.n_samples}-sample segments, aggregate "
+          f"{spec.aggregate}, <= {args.traces} traces")
     result = campaign.run(args.traces, verbose=True)
-    exit_code = _report_campaign(result)
+    print()
+    print(format_campaign(result))
+    print()
+    print(f"true key      : {result.true_key.hex()}")
+    print(f"recovered key : {result.recovered_key.hex()}")
+    print(result.summary())
     if store is not None:
         print(f"store now holds {len(store)} traces "
               f"({store.nbytes() / 1e6:.1f} MB on disk)")
-    return exit_code
+    return _outcome(result, result.traces_to_rank1 is not None, "ranks cover")
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """``repro profile``: known-key profiling campaign → saved profile."""
     from pathlib import Path
 
-    from repro.campaign import TraceStore
     from repro.profiled import (
         ProfilingCampaign,
         fit_nn_profile,
@@ -622,24 +569,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
         masked_byte_pois,
     )
     from repro.runtime.campaign import PlatformSegmentSource
-    from repro.soc.platform import PlatformSpec
 
-    countermeasures = _resolve_countermeasures(args)
-    if countermeasures is None:
-        return 2
-    shuffle, jitter = countermeasures
-    if shuffle or jitter:
-        print("profiling assumes a fixed per-sample operation layout; "
-              "shuffling permutes it and clock jitter drifts it, so "
-              "--countermeasure shuffle/jitter cannot be profiled",
-              file=sys.stderr)
-        return 2
+    platform_spec = _platform_spec(args)
+    if platform_spec.shuffle or platform_spec.jitter:
+        raise UsageError("profiling assumes a fixed per-sample operation "
+                         "layout; shuffling permutes it and clock jitter "
+                         "drifts it, so --countermeasure shuffle/jitter "
+                         "cannot be profiled")
     masked = args.cipher == "aes_masked"
     if masked and args.rd != 0:
-        print("profiling the masked target needs --rd 0: random delay "
-              "smears the share operations apart, so the fixed POI layout "
-              "(and the profile) breaks under RD-2/RD-4", file=sys.stderr)
-        return 2
+        raise UsageError("profiling the masked target needs --rd 0: random "
+                         "delay smears the share operations apart, so the "
+                         "fixed POI layout (and the profile) breaks under "
+                         "RD-2/RD-4")
     shares = args.masking_order + 1
     model = args.model or ("hd" if masked else "hw")
     segment_length = args.segment_length
@@ -647,31 +589,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
         from repro.attacks.distinguishers import masked_aes_windows
 
         segment_length = masked_aes_windows(shares=shares)[1][1] + 16
-    platform = PlatformSpec(
-        cipher_name=args.cipher, max_delay=args.rd, noise_std=args.noise_std,
-        capture_mode=args.capture_mode, masking_order=args.masking_order,
-    ).build(args.seed)
+    platform = platform_spec.build(args.seed)
     source = PlatformSegmentSource(
         platform, segment_length=segment_length, batch_size=args.batch_size
     )
     output = Path(args.output)
-    store_path = args.store if args.store is not None else output / "traces"
-    if not _check_store_config(store_path, args.capture_mode,
-                               platform.countermeasure_name):
-        return 2
-    try:
-        store = TraceStore.open_or_create(
-            store_path,
-            n_samples=source.n_samples,
-            block_size=source.block_size,
-            key=source.true_key,
-            meta={"cipher": args.cipher, "rd": args.rd, "seed": args.seed,
-                  "capture_mode": args.capture_mode,
-                  "countermeasure": platform.countermeasure_name},
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    store = _open_store(
+        args, args.store if args.store is not None else output / "traces",
+        source, platform,
+    )
     campaign = ProfilingCampaign(
         source, store, model=model, batch_size=args.batch_size
     )
@@ -725,19 +651,15 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
     store = TraceStore.open(args.store)
     if store.key is None:
-        print(f"{args.store} records no capture key; leakage assessment "
-              f"needs known-key (profiling) traces", file=sys.stderr)
-        return 2
+        raise UsageError(f"{args.store} records no capture key; leakage "
+                         f"assessment needs known-key (profiling) traces")
     if not len(store):
-        print(f"{args.store} is empty", file=sys.stderr)
-        return 2
+        raise UsageError(f"{args.store} is empty")
     stored_cm = store.meta.get("countermeasure")
-    if (args.expect_countermeasure is not None
-            and stored_cm != args.expect_countermeasure):
-        print(f"{args.store} records countermeasure {stored_cm!r}, not "
-              f"{args.expect_countermeasure!r}; assessing it would answer "
-              f"a different configuration's question", file=sys.stderr)
-        return 2
+    # A store that records no countermeasure cannot confirm the expected one.
+    require_compatible(f"trace store {args.store}",
+                       {"countermeasure": str(stored_cm)},
+                       countermeasure=args.expect_countermeasure)
     stats = ClassStats(store.key, model=args.model)
     for traces, plaintexts in store.iter_chunks(args.batch_size):
         stats.update(traces, plaintexts)
@@ -780,15 +702,27 @@ _TVLA_GRID = (
 )
 
 
-def _run_tvla_grid(args: argparse.Namespace) -> int:
-    """``repro tvla --grid``: the built-in countermeasure verdict table."""
+def _tvla_campaign(args: argparse.Namespace, spec, retry: dict, store=None):
+    """A serial or (with ``--workers``) sharded TVLA campaign on ``spec``."""
     from repro.evaluation import ParallelTvlaCampaign, TvlaCampaign
+
+    settings = dict(seed=args.seed, segment_length=args.segment_length,
+                    batch_size=args.batch_size)
+    if args.workers is None:
+        return TvlaCampaign(spec, store_dir=store, **settings)
+    return ParallelTvlaCampaign(
+        spec, workers=args.workers, shard_size=args.shard_size,
+        store_root=store, **settings, **retry,
+    )
+
+
+def _run_tvla_grid(args: argparse.Namespace, retry: dict) -> int:
+    """``repro tvla --grid``: the built-in countermeasure verdict table."""
     from repro.soc.platform import PlatformSpec
 
     if args.store is not None or args.output is not None:
-        print("--store/--output are per-configuration; run grid entries "
-              "individually to persist them", file=sys.stderr)
-        return 2
+        raise UsageError("--store/--output are per-configuration; run grid "
+                         "entries individually to persist them")
     suffix = "" if args.workers is None else f", {args.workers} workers"
     print(f"tvla grid: {len(_TVLA_GRID)} configurations, "
           f"{args.traces} traces per population{suffix}")
@@ -800,197 +734,37 @@ def _run_tvla_grid(args: argparse.Namespace) -> int:
             capture_mode="exact" if jitter else args.capture_mode,
             shuffle=shuffle, jitter=jitter, masking_order=order,
         )
-        if args.workers is not None:
-            campaign = ParallelTvlaCampaign(
-                spec, seed=args.seed, workers=args.workers,
-                shard_size=args.shard_size, batch_size=args.batch_size,
-            )
-        else:
-            campaign = TvlaCampaign(
-                spec, seed=args.seed, batch_size=args.batch_size,
-            )
-        result = campaign.run(args.traces)
+        result = _tvla_campaign(args, spec, retry).run(args.traces)
         print(f"  {cipher:>10}  {result.summary()}")
     return 0
 
 
 def cmd_tvla(args: argparse.Namespace) -> int:
     """``repro tvla``: fixed-vs-random Welch-t leakage detection."""
-    from repro.evaluation import ParallelTvlaCampaign, TvlaCampaign
-    from repro.soc.platform import PlatformSpec
-
-    if args.status:
-        return _campaign_status(args.store)
     if args.traces < 2:
-        print("--traces must be >= 2 (per population)", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.shard_size < 1:
-        print("--shard-size must be >= 1", file=sys.stderr)
-        return 2
-    fault_tolerance = _resolve_fault_tolerance(args)
-    if fault_tolerance is None:
-        return 2
+        raise UsageError("--traces must be >= 2 (per population)")
+    retry = _retry_options(args)
     if args.grid:
-        return _run_tvla_grid(args)
-    countermeasures = _resolve_countermeasures(args)
-    if countermeasures is None:
-        return 2
-    shuffle, jitter = countermeasures
-    spec = PlatformSpec(
-        cipher_name=args.cipher, max_delay=args.rd, noise_std=args.noise_std,
-        capture_mode=args.capture_mode, shuffle=shuffle, jitter=jitter,
-        masking_order=args.masking_order,
-    )
+        return _run_tvla_grid(args, retry)
+    campaign = _tvla_campaign(args, _platform_spec(args), retry, args.store)
+    name, shards = "tvla", ""
     if args.workers is not None:
-        from repro.runtime.retry import ShardFailure
-
-        max_retries, retry_backoff, shard_timeout = fault_tolerance
-        try:
-            campaign = ParallelTvlaCampaign(
-                spec, seed=args.seed, workers=args.workers,
-                shard_size=args.shard_size,
-                segment_length=args.segment_length,
-                store_root=args.store, batch_size=args.batch_size,
-                max_retries=max_retries, retry_backoff=retry_backoff,
-                shard_timeout=shard_timeout,
-            )
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        print(f"tvla x{args.workers}: {campaign.countermeasure_name} on "
-              f"{args.cipher}, {campaign.segment_length}-sample segments, "
-              f"{args.traces} traces per population in shards of "
-              f"{args.shard_size}")
-        try:
-            result = campaign.run(args.traces, verbose=True)
-        except ShardFailure as failure:
-            tail = (f" (captured traces persist under {args.store})"
-                    if args.store is not None else "")
-            print(f"tvla campaign failed: {failure} — no shard completed; "
-                  f"re-run the same command to try again{tail}",
-                  file=sys.stderr)
-            return 4
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if campaign.resumed_from:
-            print(f"resumed {campaign.resumed_from} traces from the "
-                  f"shard stores")
-        print(result.summary())
-        if args.output is not None:
-            campaign.accumulator.save(args.output)
-            print(f"t statistics saved to {args.output}")
-        if result.partial:
-            print(f"PARTIAL RESULT: shards {list(result.failed_shards)} "
-                  f"exhausted their retries; the verdict covers the merged "
-                  f"shard prefix only. Re-run the same command to retry "
-                  f"just the failed shards.", file=sys.stderr)
-            return 3
-        return 0 if result.leakage_detected else 1
-    if args.store is not None:
-        from repro.runtime.parallel import is_shard_store_root
-
-        if is_shard_store_root(args.store):
-            print(f"{args.store} holds per-shard stores from a parallel "
-                  f"TVLA campaign; resume it with --workers",
-                  file=sys.stderr)
-            return 2
-    try:
-        campaign = TvlaCampaign(
-            spec, seed=args.seed, segment_length=args.segment_length,
-            store_dir=args.store, batch_size=args.batch_size,
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+        name = f"tvla x{args.workers}"
+        shards = f" in shards of {args.shard_size}"
+    print(f"{name}: {campaign.countermeasure_name} on {args.cipher}, "
+          f"{campaign.segment_length}-sample segments, "
+          f"{args.traces} traces per population{shards}")
+    result = campaign.run(args.traces, verbose=True)
     if campaign.resumed_from:
         print(f"resumed {campaign.resumed_from} traces from the store")
-    print(f"tvla: {campaign.countermeasure_name} on {args.cipher}, "
-          f"{campaign.segment_length}-sample segments, "
-          f"{args.traces} traces per population")
-    result = campaign.run(args.traces, verbose=True)
     print(result.summary())
     if args.output is not None:
         campaign.accumulator.save(args.output)
         print(f"t statistics saved to {args.output}")
-    return 0 if result.leakage_detected else 1
+    return _outcome(result, result.leakage_detected, "the verdict covers")
 
 
-def _report_campaign(result) -> int:
-    """Shared campaign outcome report.
-
-    Exit codes: 0 once rank 1 was reached, 1 for an exhausted budget, 3
-    for a partial run (some shards exhausted their retries).
-    """
-    from repro.evaluation import format_campaign
-
-    print()
-    print(format_campaign(result))
-    print()
-    print(f"true key      : {result.true_key.hex()}")
-    print(f"recovered key : {result.recovered_key.hex()}")
-    print(result.summary())
-    if result.partial:
-        print(f"PARTIAL RESULT: shards {list(result.failed_shards)} "
-              f"exhausted their retries; ranks cover the merged shard "
-              f"prefix only. Re-run the same command to retry just the "
-              f"failed shards.", file=sys.stderr)
-        return 3
-    return 0 if result.traces_to_rank1 is not None else 1
-
-
-def _run_parallel_campaign(
-    args: argparse.Namespace, source, spec, platform_spec, fault_tolerance
-) -> int:
-    """``repro campaign --workers N``: the sharded process-parallel path."""
-    from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
-    from repro.runtime.retry import ShardFailure
-
-    max_retries, retry_backoff, shard_timeout = fault_tolerance
-    campaign_spec = PlatformCampaignSpec(
-        platform=platform_spec,
-        key=source.true_key,
-        segment_length=source.n_samples,
-        batch_size=args.batch_size,
-    )
-    campaign = ParallelCampaign(
-        campaign_spec,
-        seed=args.seed,
-        workers=args.workers,
-        shard_size=args.shard_size,
-        store_root=args.store,
-        first_checkpoint=args.first_checkpoint,
-        checkpoint_growth=args.growth,
-        rank1_patience=args.patience,
-        batch_size=args.batch_size,
-        distinguisher=spec,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        shard_timeout=shard_timeout,
-    )
-    print(f"parallel campaign: {args.cipher} RD-{args.rd}, "
-          f"{spec.name} distinguisher, "
-          f"{args.workers} workers x {args.shard_size}-trace shards, "
-          f"{source.n_samples}-sample segments, aggregate {spec.aggregate}, "
-          f"<= {args.traces} traces")
-    if args.store is not None:
-        print(f"store root: {args.store} (one trace store per shard)")
-    try:
-        result = campaign.run(args.traces, verbose=True)
-    except ShardFailure as failure:
-        tail = (f" (captured traces persist under {args.store})"
-                if args.store is not None else "")
-        print(f"campaign failed: {failure} — no shard completed; re-run "
-              f"the same command to try again{tail}", file=sys.stderr)
-        return 4
-    return _report_campaign(result)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1000,18 +774,12 @@ def main(argv: list[str] | None = None) -> int:
     p_train.set_defaults(func=cmd_train)
 
     p_locate = sub.add_parser("locate", help="locate COs in an attack session")
-    _add_common(p_locate)
-    p_locate.add_argument("--model", default="locator.npz")
-    p_locate.add_argument("--cos", type=int, default=24)
-    p_locate.add_argument("--consecutive", action="store_true")
+    _add_session_options(p_locate, cos=24)
     p_locate.set_defaults(func=cmd_locate)
 
     p_attack = sub.add_parser("attack", help="locate + align + CPA key recovery")
-    _add_common(p_attack)
-    p_attack.add_argument("--model", default="locator.npz")
-    p_attack.add_argument("--cos", type=int, default=512)
+    _add_session_options(p_attack, cos=512)
     p_attack.add_argument("--aggregate", type=int, default=64)
-    p_attack.add_argument("--consecutive", action="store_true")
     p_attack.set_defaults(func=cmd_attack)
 
     p_bench = sub.add_parser(
@@ -1048,43 +816,18 @@ def main(argv: list[str] | None = None) -> int:
         help="streaming online-distinguisher campaign with an optional "
              "on-disk store",
     )
-    p_campaign.add_argument(
-        "--cipher", default="aes",
-        choices=("aes", "aes_masked", "camellia", "clefia", "simon"))
-    p_campaign.add_argument(
-        "--rd", type=int, default=0, choices=(0, 2, 4),
-        help="random-delay configuration (RD-2/RD-4 need tens of thousands "
-             "of traces to converge — that is what the streaming pipeline "
-             "is for)")
-    p_campaign.add_argument("--seed", type=int, default=0)
-    p_campaign.add_argument("--traces", type=int, default=512,
-                            help="trace budget (resumed traces included)")
-    p_campaign.add_argument("--store", default=None,
-                            help="trace-store directory; reuse to resume")
-    p_campaign.add_argument("--segment-length", type=int, default=None,
-                            help="samples per segment (default: mean CO length)")
+    _add_target_options(p_campaign, 512,
+                        "trace budget (resumed traces included)")
     p_campaign.add_argument("--aggregate", type=int, default=8,
                             help="CPA time-aggregation width (use ~32-64 "
                                  "under RD-2/RD-4)")
-    p_campaign.add_argument("--batch-size", type=int, default=256,
-                            help="traces per capture batch")
     p_campaign.add_argument("--first-checkpoint", type=int, default=25)
     p_campaign.add_argument("--growth", type=float, default=1.5,
                             help="checkpoint ladder growth factor")
     p_campaign.add_argument("--patience", type=int, default=2,
                             help="consecutive rank-1 checkpoints before "
                                  "early stop")
-    p_campaign.add_argument("--noise-std", type=float, default=1.0,
-                            help="oscilloscope acquisition noise")
-    p_campaign.add_argument("--workers", type=int, default=None,
-                            help="run the sharded process-parallel campaign "
-                                 "with this many workers")
-    p_campaign.add_argument("--shard-size", type=int, default=1024,
-                            help="traces per parallel shard (seed and "
-                                 "checkpoint granularity)")
-    _add_fault_tolerance_options(p_campaign)
-    _add_capture_mode_option(p_campaign)
-    _add_countermeasure_options(p_campaign)
+    _add_parallel_options(p_campaign)
     _add_distinguisher_options(p_campaign)
     p_campaign.set_defaults(func=cmd_campaign)
 
@@ -1093,18 +836,11 @@ def main(argv: list[str] | None = None) -> int:
         help="known-key profiling campaign: capture, rank POIs, fit and "
              "save a template or NN profile directory",
     )
-    p_profile.add_argument(
-        "--cipher", default="aes",
-        choices=("aes", "aes_masked", "camellia", "clefia", "simon"))
-    p_profile.add_argument("--rd", type=int, default=0, choices=(0, 2, 4))
-    p_profile.add_argument("--seed", type=int, default=0)
-    p_profile.add_argument("--traces", type=int, default=4096,
-                           help="profiling trace budget (resumed included)")
+    _add_target_options(p_profile, 4096,
+                        "profiling trace budget (resumed included)")
     p_profile.add_argument("--output", required=True,
-                           help="profile directory to create")
-    p_profile.add_argument("--store", default=None,
-                           help="profiling trace-store directory (default: "
-                                "OUTPUT/traces); reuse to resume")
+                           help="profile directory to create; its traces/ "
+                                "subdirectory is the default --store")
     p_profile.add_argument("--kind", default="template",
                            choices=("template", "nn"),
                            help="profile family: Gaussian templates or "
@@ -1112,9 +848,6 @@ def main(argv: list[str] | None = None) -> int:
     p_profile.add_argument("--model", default=None,
                            help="leakage model labelling the classes "
                                 "(default: hd for aes_masked, else hw)")
-    p_profile.add_argument("--segment-length", type=int, default=None,
-                           help="samples per segment (default: derived for "
-                                "aes_masked, else mean CO length)")
     p_profile.add_argument("--pois", type=int, default=3,
                            help="POIs per byte by SNR rank (ignored for "
                                 "aes_masked, which uses the share layout)")
@@ -1135,11 +868,6 @@ def main(argv: list[str] | None = None) -> int:
     p_profile.add_argument("--epochs", type=int, default=10)
     p_profile.add_argument("--nn-batch-size", type=int, default=128)
     p_profile.add_argument("--lr", type=float, default=1e-3)
-    p_profile.add_argument("--batch-size", type=int, default=256,
-                           help="traces per capture batch")
-    p_profile.add_argument("--noise-std", type=float, default=1.0)
-    _add_capture_mode_option(p_profile)
-    _add_countermeasure_options(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 
     p_assess = sub.add_parser(
@@ -1165,44 +893,56 @@ def main(argv: list[str] | None = None) -> int:
         help="fixed-vs-random TVLA leakage detection, single configuration "
              "or the built-in countermeasure grid",
     )
-    p_tvla.add_argument(
-        "--cipher", default="aes",
-        choices=("aes", "aes_masked", "camellia", "clefia", "simon"))
-    p_tvla.add_argument("--rd", type=int, default=0, choices=(0, 2, 4),
-                        help="random-delay configuration")
-    p_tvla.add_argument("--seed", type=int, default=0)
-    p_tvla.add_argument("--traces", type=int, default=256,
-                        help="traces per population (fixed and random; "
-                             "resumed traces included)")
-    p_tvla.add_argument("--store", default=None,
-                        help="trace-store directory; reuse to resume")
-    p_tvla.add_argument("--segment-length", type=int, default=None,
-                        help="samples per segment (default: mean CO length)")
-    p_tvla.add_argument("--batch-size", type=int, default=256,
-                        help="traces per interleaved capture round")
-    p_tvla.add_argument("--noise-std", type=float, default=1.0,
-                        help="oscilloscope acquisition noise")
+    _add_target_options(p_tvla, 256,
+                        "traces per population (fixed and random; resumed "
+                        "traces included)")
     p_tvla.add_argument("--output", default=None,
                         help="save the Welch-t accumulator to this .npz")
     p_tvla.add_argument("--grid", action="store_true",
                         help="run the built-in countermeasure grid (baseline, "
                              "shuffle, RD+jitter, masking order 1 and 2) "
                              "instead of one configuration")
-    p_tvla.add_argument("--workers", type=int, default=None,
-                        help="shard the capture over a process pool; at a "
-                             "fixed --shard-size the merged t map and "
-                             "verdict are identical for any worker count")
-    p_tvla.add_argument("--shard-size", type=int, default=1024,
-                        help="traces per population per shard — the unit "
-                             "of parallel work and per-shard seed "
-                             "derivation (only with --workers)")
-    _add_fault_tolerance_options(p_tvla)
-    _add_capture_mode_option(p_tvla)
-    _add_countermeasure_options(p_tvla)
+    _add_parallel_options(p_tvla)
     p_tvla.set_defaults(func=cmd_tvla)
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+
+#: CLI flags that set an artifact field, named when a refusal cites it.
+_FLAGS = {
+    "cipher": "--cipher", "rd": "--rd", "max_delay": "--rd",
+    "seed": "--seed", "campaign_seed": "--seed",
+    "capture_mode": "--capture-mode",
+    "segment_length": "--segment-length", "n_samples": "--segment-length",
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code.
+
+    Refusals map to exit codes here and nowhere else: a sharded run with
+    no completed shard exits 4; any other typed error (a usage error, an
+    incompatible or corrupt artifact) or a missing input exits 2.  Both
+    print one line on stderr.
+    """
+    args = _parser().parse_args(argv)
+    try:
+        if getattr(args, "status", False):
+            return _campaign_status(args.store)
+        return args.func(args)
+    except ShardFailure as failure:
+        store = getattr(args, "store", None)
+        tail = (f" (captured traces persist under {store})"
+                if store is not None else "")
+        print(f"{args.command} failed: {failure} — no shard completed; "
+              f"re-run the same command to try again{tail}", file=sys.stderr)
+        return 4
+    except (ReproError, FileNotFoundError) as error:
+        flag = (_FLAGS.get(error.field)
+                if isinstance(error, IncompatibleArtifactError)
+                and isinstance(error.stored, (int, str)) else None)
+        hint = f" (it was made with {flag} {error.stored})" if flag else ""
+        print(f"{error}{hint}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.attacks.key_rank import MIN_CPA_TRACES, key_byte_rank
+from repro.errors import require_compatible
 from repro.signalproc import prepare_segments
 
 __all__ = ["Distinguisher", "SufficientStatisticDistinguisher"]
@@ -297,8 +298,8 @@ class SufficientStatisticDistinguisher:
     def load(cls, path):
         """Restore an accumulator saved by :meth:`save`."""
         with np.load(path) as state:
-            if "kind" not in state.files or str(state["kind"]) != cls._KIND:
-                raise ValueError(f"{path} is not a {cls.__name__} checkpoint")
+            require_compatible(path, {"kind": str(state.get("kind"))},
+                               kind=cls._KIND)
             fields = {"config", "n", "n_bytes", "t_ref", *cls._STATE_FIELDS}
             missing = sorted(fields.difference(state.files))
             if missing:

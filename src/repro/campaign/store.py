@@ -47,11 +47,19 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import (
+    CorruptManifestError,
+    IncompatibleArtifactError,
+    require_compatible,
+)
+
 __all__ = [
     "CorruptManifestError",
     "StoreVerification",
     "TraceStore",
     "atomic_write_json",
+    "is_shard_store_root",
+    "shard_store_dir",
 ]
 
 _MANIFEST = "manifest.json"
@@ -62,8 +70,17 @@ _QUARANTINE = "quarantine"
 _PAYLOAD_RE = re.compile(r"^(traces|plaintexts)-\d{6}\.npy$")
 
 
-class CorruptManifestError(ValueError):
-    """The manifest file exists but cannot be parsed or lacks its schema."""
+def shard_store_dir(store_root, index: int) -> Path:
+    """Shard ``index``'s trace-store directory under a sharded store root."""
+    return Path(store_root) / f"shard-{index:06d}"
+
+
+def is_shard_store_root(path) -> bool:
+    """Does ``path`` hold a sharded campaign's ``shard-NNNNNN`` stores?
+
+    A serial campaign's one store keeps its manifest in ``path`` itself.
+    """
+    return (shard_store_dir(path, 0) / _MANIFEST).exists()
 
 
 def _fsync_path(path) -> None:
@@ -184,10 +201,10 @@ class TraceStore:
                 f"corrupt trace-store manifest at {manifest_path}: "
                 f"not a store manifest"
             )
-        if manifest.get("version") != _VERSION:
-            raise ValueError(
-                f"unsupported trace-store version {manifest.get('version')!r}"
-            )
+        require_compatible(
+            f"trace store {path}", {"version": manifest.get("version", 0)},
+            version=_VERSION,
+        )
         return cls(path, manifest)
 
     @classmethod
@@ -202,28 +219,46 @@ class TraceStore:
     ) -> "TraceStore":
         """Open ``path`` if it holds a store, otherwise create one.
 
-        When opening, the existing schema must match the requested one —
-        resuming a campaign into a store captured with different segment
-        geometry would silently corrupt the attack.
+        An existing store must fit the request (:meth:`require`), which
+        checks ``meta`` first so a refusal names the setting that differs
+        (another countermeasure also shifts the derived key).  A sharded
+        campaign's store root is refused.
         """
+        if is_shard_store_root(path):
+            raise IncompatibleArtifactError(
+                path, "layout", "per-shard stores", "serial TraceStore",
+                hint="resume it as a sharded campaign (--workers), or "
+                     "point the serial campaign at a fresh directory",
+            )
         if (Path(path) / _MANIFEST).exists():
-            store = cls.open(path)
-            if store.n_samples != int(n_samples):
-                raise ValueError(
-                    f"store at {path} holds {store.n_samples}-sample segments, "
-                    f"requested {n_samples}"
-                )
-            if store.block_size != int(block_size):
-                raise ValueError(
-                    f"store at {path} holds {store.block_size}-byte blocks, "
-                    f"requested {block_size}"
-                )
-            if key is not None and store.key is not None and store.key != key:
-                raise ValueError(f"store at {path} was captured under a different key")
-            return store
+            return cls.open(path).require(
+                **(meta or {}), n_samples=int(n_samples),
+                block_size=int(block_size), key=key,
+            )
         return cls.create(
             path, n_samples, block_size=block_size, dtype=dtype, key=key, meta=meta
         )
+
+    def require(self, key: bytes | None = None, **wanted) -> "TraceStore":
+        """Refuse this store unless it fits the run; returns ``self``.
+
+        ``wanted`` names ``meta`` entries, ``n_samples`` and ``block_size``,
+        checked in order before ``key``; fields either side leaves
+        unrecorded are skipped.  A store without ``capture_mode``
+        predates fast capture and reads as ``exact``.
+        """
+        recorded = {
+            "capture_mode": "exact",
+            **self.meta,
+            "n_samples": self.n_samples,
+            "block_size": self.block_size,
+            "key": self._manifest.get("key"),
+        }
+        require_compatible(
+            f"trace store {self.path}", recorded, **wanted,
+            key=None if key is None else key.hex(),
+        )
+        return self
 
     # ------------------------------------------------------------------ #
     # schema                                                             #

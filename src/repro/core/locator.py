@@ -16,6 +16,7 @@ measurement setup.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.model import LocatorCNN, build_locator_cnn
 from repro.core.segmentation import SegmentationConfig, segment_regions
 from repro.core.sliding_window import SlidingWindowClassifier
 from repro.core.alignment import align_cos
+from repro.errors import require_compatible
 from repro.nn import Adam, Trainer, TrainHistory
 from repro.nn.data import ArrayDataset
 from repro.nn.metrics import normalized_confusion
@@ -34,6 +36,10 @@ from repro.soc.platform import CipherTrace, SessionTrace, SimulatedPlatform
 __all__ = ["CryptoLocator", "LocatorResult"]
 
 _EPS = 1e-9
+
+#: Artifact kind and format version of saved locators.
+_KIND = "crypto_locator"
+_VERSION = 1
 
 
 @dataclass
@@ -78,6 +84,9 @@ class CryptoLocator:
         #: Systematic offset of the raw rising edge with respect to the true
         #: CO start, estimated on the clone device (see calibrate_bias).
         self.start_bias: int = 0
+        #: The platform the locator was fitted on (``cipher``,
+        #: ``max_delay``); empty after a bare :meth:`fit`.
+        self.platform: dict = {}
         self._fitted = False
 
     # ------------------------------------------------------------------ #
@@ -106,6 +115,7 @@ class CryptoLocator:
         capture loop.
         """
         cfg = self.config
+        self.platform = {}
         needed = self.required_profiling_traces()
         if len(cipher_traces) < needed:
             raise ValueError(
@@ -208,6 +218,8 @@ class CryptoLocator:
         )
         history = self.fit(captures, noise_trace, boundary_session=boundary,
                            verbose=verbose)
+        self.platform = {"cipher": platform.cipher_name,
+                         "max_delay": platform.countermeasure.max_delay}
         self.calibrate_bias(platform)
         return history
 
@@ -460,8 +472,10 @@ class CryptoLocator:
     def save(self, path) -> None:
         """Persist the trained locator (weights + all calibrations) as .npz.
 
-        The pipeline configuration is stored alongside the network state so
-        :meth:`load` can verify it is restoring into a compatible locator.
+        A JSON manifest records the artifact kind and version, the
+        pipeline configuration and — after :meth:`fit_from_platform` —
+        the platform it was fitted on, so :meth:`load` can refuse to
+        restore into an incompatible locator or target.
         """
         self._require_fitted()
         state = {f"net.{k}": v for k, v in self.cnn.network.state_dict().items()}
@@ -471,25 +485,35 @@ class CryptoLocator:
         state["meta.threshold"] = np.array([self.threshold], dtype=np.float64)
         state["meta.co_length"] = np.array([self.co_length], dtype=np.int64)
         state["meta.start_bias"] = np.array([self.start_bias], dtype=np.int64)
-        state["meta.config"] = np.array(
-            [self.config.cipher, str(self.config.n_train), str(self.config.n_inf),
-             str(self.config.stride), str(self.config.kernel_size)]
-        )
+        state["meta.manifest"] = np.array(json.dumps({
+            "kind": _KIND,
+            "version": _VERSION,
+            "config": self._config_record(),
+            "platform": self.platform,
+        }))
         np.savez(path, **state)
 
-    def load(self, path) -> "CryptoLocator":
-        """Restore a locator saved with :meth:`save` (config must match)."""
+    def load(self, path, max_delay: int | None = None) -> "CryptoLocator":
+        """Restore a locator saved with :meth:`save`.
+
+        The saved configuration must match this locator's.  When the file
+        records the platform it was fitted on, that platform's cipher must
+        be this locator's and its random delay ``max_delay`` (unchecked
+        when ``None``) — a locator trained under one random-delay setting
+        misses the COs of another.  Files from before locators were
+        versioned are refused.
+        """
         with np.load(path) as archive:
             state = {key: archive[key] for key in archive.files}
-        meta_config = state.pop("meta.config")
-        expected = [self.config.cipher, str(self.config.n_train),
-                    str(self.config.n_inf), str(self.config.stride),
-                    str(self.config.kernel_size)]
-        if list(meta_config) != expected:
-            raise ValueError(
-                f"saved locator was built for {list(meta_config)}, "
-                f"this one is configured for {expected}"
-            )
+        manifest = json.loads(str(state.pop("meta.manifest", "{}")))
+        artifact = f"locator {path}"
+        require_compatible(artifact, {"version": 0, **manifest}, kind=_KIND,
+                           version=_VERSION, hint="re-run `repro train`")
+        require_compatible(artifact, manifest["config"],
+                           **self._config_record())
+        require_compatible(artifact, manifest["platform"],
+                           cipher=self.config.cipher, max_delay=max_delay)
+        self.platform = manifest["platform"]
         mean, std = state.pop("meta.calibration")
         self.calibration = _Calibration(mean=float(mean), std=float(std))
         self.threshold = float(state.pop("meta.threshold")[0])
@@ -500,6 +524,12 @@ class CryptoLocator:
         self.cnn.network.eval()
         self._fitted = True
         return self
+
+    def _config_record(self) -> dict:
+        cfg = self.config
+        return {"cipher": cfg.cipher, "n_train": cfg.n_train,
+                "n_inf": cfg.n_inf, "stride": cfg.stride,
+                "kernel_size": cfg.kernel_size}
 
     # ------------------------------------------------------------------ #
 

@@ -25,6 +25,7 @@ import json
 
 import numpy as np
 
+from repro.errors import require_compatible
 from repro.evaluation.convergence import guessing_entropy
 
 __all__ = ["GuessingEntropyAccumulator"]
@@ -133,10 +134,8 @@ class GuessingEntropyAccumulator:
     def load(cls, path) -> "GuessingEntropyAccumulator":
         """Restore an accumulator saved by :meth:`save`."""
         with np.load(path) as state:
-            if str(state["kind"]) != cls._KIND:
-                raise ValueError(
-                    f"{path} is not a GuessingEntropyAccumulator checkpoint"
-                )
+            require_compatible(path, {"kind": str(state.get("kind"))},
+                               kind=cls._KIND)
             config = json.loads(str(state["config"]))
             accumulator = cls()
             accumulator.n_repetitions = int(config["n_repetitions"])

@@ -36,17 +36,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
-
-import numpy as np
 
 from repro.attacks.assessment import TVLA_THRESHOLD
 from repro.evaluation.tvla import TvlaCampaign, TvlaResult, WelchTAccumulator
-from repro.runtime.journal import CampaignJournal
 from repro.runtime.parallel import (
     ShardSpec,
-    _recover_store_dir,
+    open_store_root,
     plan_shards,
+    recover_shard_store,
 )
 from repro.runtime.retry import RetryPolicy, ShardExecutor, ShardFailure
 from repro.soc.platform import PlatformSpec
@@ -67,10 +64,6 @@ class TvlaShardResult:
     replayed: int
     capture_seconds: float
     quarantined: int = 0        # corrupt files quarantined before resume
-
-
-def _shard_store_dir(store_root, index: int) -> Path:
-    return Path(store_root) / f"shard-{index:06d}"
 
 
 def run_tvla_shard(
@@ -98,11 +91,10 @@ def run_tvla_shard(
     store_dir = None
     quarantined = 0
     if store_root is not None:
-        store_dir = _shard_store_dir(store_root, shard.index)
         # Recover before the campaign opens the store: an unparseable
         # manifest quarantines the whole directory, which open_or_create
         # could not survive.
-        quarantined = _recover_store_dir(store_dir)
+        store_dir, quarantined = recover_shard_store(store_root, shard.index)
     campaign = TvlaCampaign(
         spec,
         seed=shard.seed_sequence,
@@ -223,14 +215,7 @@ class ParallelTvlaCampaign:
             raise ValueError("n_per_group must be >= 2")
         journal = None
         if self.store_root is not None:
-            if (Path(self.store_root) / "manifest.json").exists():
-                raise ValueError(
-                    f"{self.store_root} holds a single serial TraceStore; "
-                    f"resume it without workers, or point the parallel "
-                    f"campaign at a fresh directory"
-                )
-            Path(self.store_root).mkdir(parents=True, exist_ok=True)
-            journal = CampaignJournal.open_or_create(
+            journal = open_store_root(
                 self.store_root, "parallel_tvla",
                 meta={
                     "seed": self.seed,
@@ -307,16 +292,7 @@ class ParallelTvlaCampaign:
 
     def result(self) -> TvlaResult:
         """The verdict over everything merged so far."""
-        t = self.accumulator.t()
-        max_abs_t = float(np.abs(t).max())
-        return TvlaResult(
-            t=t,
-            max_abs_t=max_abs_t,
-            threshold=self.accumulator.threshold,
-            leakage_detected=max_abs_t > self.accumulator.threshold,
-            n_fixed=self.accumulator.n_fixed,
-            n_random=self.accumulator.n_random,
-            countermeasure=self.countermeasure_name,
-            partial=self.partial,
-            failed_shards=self.failed_shards,
+        return TvlaResult.of(
+            self.accumulator, self.countermeasure_name,
+            partial=self.partial, failed_shards=self.failed_shards,
         )

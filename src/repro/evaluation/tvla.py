@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.attacks.assessment import TVLA_THRESHOLD
 from repro.campaign.store import TraceStore
+from repro.errors import require_compatible
 from repro.soc.platform import PlatformSpec
 
 __all__ = [
@@ -195,8 +196,8 @@ class WelchTAccumulator:
     def load(cls, path) -> "WelchTAccumulator":
         """Restore statistics saved by :meth:`save`."""
         with np.load(path) as state:
-            if str(state["kind"]) != cls._KIND:
-                raise ValueError(f"{path} is not a WelchTAccumulator checkpoint")
+            require_compatible(path, {"kind": str(state.get("kind"))},
+                               kind=cls._KIND)
             config = json.loads(str(state["config"]))
             accumulator = cls(threshold=config["threshold"])
             accumulator._n = {
@@ -224,6 +225,24 @@ class TvlaResult:
     countermeasure: str
     partial: bool = False           # some shards exhausted their retries
     failed_shards: tuple[int, ...] = ()
+
+    @classmethod
+    def of(
+        cls, accumulator: "WelchTAccumulator", countermeasure: str, **partial
+    ) -> "TvlaResult":
+        """The verdict over everything ``accumulator`` holds."""
+        t = accumulator.t()
+        max_abs_t = float(np.abs(t).max())
+        return cls(
+            t=t,
+            max_abs_t=max_abs_t,
+            threshold=accumulator.threshold,
+            leakage_detected=max_abs_t > accumulator.threshold,
+            n_fixed=accumulator.n_fixed,
+            n_random=accumulator.n_random,
+            countermeasure=countermeasure,
+            **partial,
+        )
 
     def summary(self) -> str:
         verdict = "LEAKS" if self.leakage_detected else "passes"
@@ -260,11 +279,10 @@ class TvlaCampaign:
     segment_length:
         Samples per stored segment; the fixed platform's empirical mean
         CO length when omitted.
-    store, store_dir:
-        Optional durable trace store — an open
-        :class:`~repro.campaign.store.TraceStore`, or (``store_dir``) a
-        directory path the campaign opens-or-creates itself with the
-        right geometry and :meth:`store_meta`.  Existing content is
+    store_dir:
+        Optional durable trace-store directory, opened or created with
+        the campaign's geometry, key and :meth:`store_meta` (a store
+        captured under other settings is refused).  Existing content is
         classified by plaintext (fixed vector or not), replayed into the
         accumulator, and both platform streams are fast-forwarded past
         their share — resuming an interrupted campaign reaches the
@@ -286,15 +304,12 @@ class TvlaCampaign:
         fixed_plaintext: bytes | None = None,
         key: bytes | None = None,
         segment_length: int | None = None,
-        store: TraceStore | None = None,
         store_dir=None,
         batch_size: int = 256,
         nop_header: int = 96,
         threshold: float = TVLA_THRESHOLD,
         replay_limit: int | None = None,
     ) -> None:
-        if store is not None and store_dir is not None:
-            raise ValueError("pass either store or store_dir, not both")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if replay_limit is not None and replay_limit < 0:
@@ -359,44 +374,17 @@ class TvlaCampaign:
             segment_length = platform.mean_co_samples() - trailer
         self.segment_length = int(segment_length)
         self.accumulator = WelchTAccumulator(threshold=threshold)
+        self.store = None
+        self.resumed_from = 0
+        self.store_quarantined = 0
         if store_dir is not None:
-            store = TraceStore.open_or_create(
+            store = self.store = TraceStore.open_or_create(
                 store_dir,
                 n_samples=self.segment_length,
                 block_size=block,
                 key=self.key,
                 meta=self.store_meta(),
             )
-        self.store = store
-        self.resumed_from = 0
-        self.store_quarantined = 0
-        if store is not None:
-            if store.n_samples != self.segment_length:
-                raise ValueError(
-                    f"store holds {store.n_samples}-sample segments, campaign "
-                    f"captures {self.segment_length}"
-                )
-            if store.key is not None and store.key != self.key:
-                raise ValueError(
-                    "store was captured under a different key"
-                )
-            stored_pt = store.meta.get("fixed_plaintext")
-            if stored_pt is not None and stored_pt != self.fixed_plaintext.hex():
-                raise ValueError(
-                    "store was captured with a different fixed plaintext"
-                )
-            stored_cm = store.meta.get("countermeasure")
-            if stored_cm is not None and stored_cm != self.countermeasure_name:
-                raise ValueError(
-                    f"store was captured under countermeasure {stored_cm!r}, "
-                    f"campaign runs {self.countermeasure_name!r}"
-                )
-            stored_mode = store.meta.get("capture_mode")
-            if stored_mode is not None and stored_mode != spec.capture_mode:
-                raise ValueError(
-                    f"store was captured in {stored_mode!r} mode, campaign "
-                    f"runs {spec.capture_mode!r}"
-                )
             # Quarantine any corrupt/orphaned tail before replay: the
             # populations re-interleave deterministically, so the campaign
             # re-captures the dropped suffix instead of crashing here.
@@ -511,17 +499,7 @@ class TvlaCampaign:
 
     def result(self) -> TvlaResult:
         """The verdict over everything accumulated so far."""
-        t = self.accumulator.t()
-        max_abs_t = float(np.abs(t).max())
-        return TvlaResult(
-            t=t,
-            max_abs_t=max_abs_t,
-            threshold=self.accumulator.threshold,
-            leakage_detected=max_abs_t > self.accumulator.threshold,
-            n_fixed=self.accumulator.n_fixed,
-            n_random=self.accumulator.n_random,
-            countermeasure=self.countermeasure_name,
-        )
+        return TvlaResult.of(self.accumulator, self.countermeasure_name)
 
     def store_meta(self) -> dict:
         """The metadata a durable TVLA store should be created with."""

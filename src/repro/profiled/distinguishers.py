@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.attacks.distinguishers.base import SufficientStatisticDistinguisher
+from repro.errors import require_compatible
 from repro.profiled.profile import load_profile
 
 __all__ = ["ProfiledDistinguisher", "TemplateDistinguisher", "NnProfiledDistinguisher"]
@@ -77,19 +78,14 @@ class ProfiledDistinguisher(SufficientStatisticDistinguisher):
         super().__init__(aggregate=1)
         if isinstance(profile, (str, os.PathLike)):
             profile = load_profile(profile)
-        if profile.kind != self._PROFILE_KIND:
-            raise ValueError(
-                f"{self.name} needs a {self._PROFILE_KIND!r} profile, got a "
-                f"{profile.kind!r} one"
-                + (f" ({profile.path})" if profile.path is not None else "")
-            )
+        # A checkpoint restore also pins the profile it accumulated under.
+        require_compatible(
+            f"profile {profile.path or '(unsaved)'}",
+            {"kind": profile.kind, "fingerprint": profile.fingerprint()},
+            kind=self._PROFILE_KIND, fingerprint=fingerprint,
+            hint="re-profile or replay the campaign's trace store",
+        )
         self.profile = profile
-        if fingerprint is not None and fingerprint != profile.fingerprint():
-            raise ValueError(
-                "checkpoint was accumulated under a different profile than "
-                f"the one now at {profile.path}; re-profile or replay the "
-                f"campaign's trace store"
-            )
         self._class_table = profile.class_table()    # (256 pt, 256 guess)
 
     # -- configuration --------------------------------------------------- #

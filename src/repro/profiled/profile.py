@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.attacks.distinguishers.second_order import masked_aes_windows
 from repro.attacks.leakage_models import LeakageModel, get_leakage_model
+from repro.errors import CorruptArtifactError, require_compatible
 from repro.profiled.stats import ClassStats, class_values
 
 __all__ = [
@@ -608,30 +609,40 @@ _KINDS = {
 }
 
 
-def load_manifest(directory) -> dict:
-    """Read and version-check a profile directory's manifest."""
+def load_manifest(directory, **wanted) -> dict:
+    """Read and version-check a profile directory's manifest.
+
+    ``wanted`` names the target a run will score the profile against —
+    any of the ``meta`` entries (``cipher``, ``rd``, ...) and
+    ``segment_length`` — and refuses a profile built on another one.
+    """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST
     if not manifest_path.is_file():
-        raise ValueError(
+        raise CorruptArtifactError(
             f"{directory} is not a profile directory (no {_MANIFEST}); "
             f"create one with `repro profile`"
         )
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as error:
-        raise ValueError(f"{manifest_path} is not valid JSON: {error}") from None
-    version = manifest.get("version")
-    if version != PROFILE_VERSION:
-        raise ValueError(
-            f"{directory} is a version-{version} profile; this build reads "
-            f"version {PROFILE_VERSION} — re-run `repro profile`"
-        )
+        raise CorruptArtifactError(
+            f"{manifest_path} is not valid JSON: {error}"
+        ) from None
+    artifact = f"profile {directory}"
+    require_compatible(artifact, {"version": manifest.get("version", 0)},
+                       version=PROFILE_VERSION, hint="re-run `repro profile`")
     if manifest.get("kind") not in _KINDS:
-        raise ValueError(
+        raise CorruptArtifactError(
             f"{directory} holds an unknown profile kind "
             f"{manifest.get('kind')!r}; known: {', '.join(sorted(_KINDS))}"
         )
+    require_compatible(
+        artifact,
+        {**manifest.get("meta", {}),
+         "segment_length": manifest.get("segment_length")},
+        **wanted,
+    )
     return manifest
 
 

@@ -82,20 +82,8 @@ class ProfilingCampaign:
         key = getattr(source, "true_key", None)
         if key is None:
             raise ValueError("profiling needs a source with a known true_key")
-        if store.n_samples != source.n_samples:
-            raise ValueError(
-                f"store holds {store.n_samples}-sample segments, source "
-                f"produces {source.n_samples}"
-            )
-        if store.block_size != source.block_size:
-            raise ValueError(
-                f"store holds {store.block_size}-byte plaintexts, source "
-                f"produces {source.block_size}-byte ones"
-            )
-        if store.key is not None and store.key != key:
-            raise ValueError(
-                "store was captured under a different key than the source's"
-            )
+        store.require(n_samples=source.n_samples,
+                      block_size=source.block_size, key=key)
         self.source = source
         self.store = store
         self.batch_size = int(batch_size)

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.attacks.assessment import TVLA_THRESHOLD
 from repro.attacks.leakage_models import LeakageModel, get_leakage_model
+from repro.errors import require_compatible
 
 __all__ = ["ClassStats", "select_pois", "class_values", "TVLA_THRESHOLD"]
 
@@ -274,8 +275,8 @@ class ClassStats:
     def load(cls, path) -> "ClassStats":
         """Restore statistics saved by :meth:`save`."""
         with np.load(path) as state:
-            if str(state["kind"]) != cls._KIND:
-                raise ValueError(f"{path} is not a ClassStats checkpoint")
+            require_compatible(path, {"kind": str(state.get("kind"))},
+                               kind=cls._KIND)
             config = json.loads(str(state["config"]))
             stats = cls(bytes.fromhex(config["key"]), model=config["model"])
             stats._n = int(state["n"][0])

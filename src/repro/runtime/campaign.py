@@ -240,16 +240,9 @@ class AttackCampaign:
             raise ValueError("rank1_patience must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if store is not None and store.n_samples != source.n_samples:
-            raise ValueError(
-                f"store holds {store.n_samples}-sample segments, source "
-                f"produces {source.n_samples}"
-            )
-        if store is not None and store.block_size != source.block_size:
-            raise ValueError(
-                f"store holds {store.block_size}-byte plaintexts, source "
-                f"produces {source.block_size}-byte ones"
-            )
+        if store is not None:
+            store.require(n_samples=source.n_samples,
+                          block_size=source.block_size)
         self.source = source
         self.store = store
         self.true_key = (

@@ -35,11 +35,7 @@ from repro.evaluation.hits import HitStats, match_hits
 from repro.soc.platform import SessionTrace, SimulatedPlatform
 from repro.campaign import TraceStore
 from repro.runtime.campaign import AttackCampaign, CampaignResult, PlatformSegmentSource
-from repro.runtime.parallel import (
-    ParallelCampaign,
-    PlatformCampaignSpec,
-    is_shard_store_root,
-)
+from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
 from repro.runtime.plan import BatchPlan, ScenarioSpec
 from repro.soc.platform import PlatformSpec
 
@@ -375,12 +371,6 @@ class ExperimentEngine:
         )
         store = None
         if store_dir is not None:
-            if is_shard_store_root(store_dir):
-                raise ValueError(
-                    f"{store_dir} holds per-shard stores from a parallel "
-                    f"campaign; resume it with workers=, or point the "
-                    f"serial campaign at a fresh directory"
-                )
             store = TraceStore.open_or_create(
                 store_dir,
                 n_samples=source.n_samples,

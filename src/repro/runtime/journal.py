@@ -19,6 +19,7 @@ from pathlib import Path
 import json
 
 from repro.campaign.store import atomic_write_json
+from repro.errors import CorruptArtifactError, require_compatible
 
 __all__ = ["CampaignJournal"]
 
@@ -57,11 +58,8 @@ class CampaignJournal:
         path = Path(root) / _JOURNAL
         if path.exists():
             journal = cls.load(root)
-            if journal._state["kind"] != kind:
-                raise ValueError(
-                    f"campaign journal at {path} belongs to a "
-                    f"{journal._state['kind']!r} campaign, not {kind!r}"
-                )
+            require_compatible(f"campaign journal {path}", journal._state,
+                               kind=kind)
             if meta:
                 journal._state["meta"].update(meta)
                 journal._write()
@@ -83,17 +81,22 @@ class CampaignJournal:
         path = Path(root) / _JOURNAL
         if not path.exists():
             raise FileNotFoundError(f"no campaign journal at {path}")
+        reset = f"delete {_JOURNAL} to reset it"
         try:
             state = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
-            raise ValueError(f"corrupt campaign journal at {path}: {exc}") from exc
+            raise CorruptArtifactError(
+                f"corrupt campaign journal at {path}: {exc}; {reset}"
+            ) from exc
         if (
             not isinstance(state, dict)
             or not isinstance(state.get("shards"), dict)
             or "kind" not in state
             or "phase" not in state
         ):
-            raise ValueError(f"corrupt campaign journal at {path}: bad schema")
+            raise CorruptArtifactError(
+                f"corrupt campaign journal at {path}: bad schema; {reset}"
+            )
         return cls(root, state)
 
     # -- mutation ------------------------------------------------------

@@ -64,7 +64,9 @@ from repro.attacks.distinguishers import (
 )
 from repro.attacks.key_rank import MIN_CPA_TRACES, geometric_checkpoints
 from repro.campaign import CorruptManifestError, TraceStore
+from repro.campaign.store import shard_store_dir
 from repro.ciphers.registry import get_cipher
+from repro.errors import IncompatibleArtifactError
 from repro.runtime.campaign import (
     CampaignResult,
     CheckpointRecord,
@@ -90,7 +92,8 @@ __all__ = [
     "shard_seed",
     "shard_aligned_checkpoints",
     "run_shard",
-    "is_shard_store_root",
+    "open_store_root",
+    "recover_shard_store",
 ]
 
 # SeedSequence spawn-key layout under the campaign seed: key 0 is reserved
@@ -377,10 +380,6 @@ class ShardResult:
     quarantined: int = 0        # corrupt files quarantined before resume
 
 
-def _shard_store_dir(store_root, index: int) -> Path:
-    return Path(store_root) / f"shard-{index:06d}"
-
-
 def _quarantine_store_dir(store_dir: Path) -> Path:
     """Rename an unrecoverable store directory aside, never clobbering."""
     target = store_dir.with_suffix(".quarantined")
@@ -392,35 +391,42 @@ def _quarantine_store_dir(store_dir: Path) -> Path:
     return target
 
 
-def _recover_store_dir(store_dir: Path) -> int:
-    """Integrity-check an existing shard store before it is resumed.
+def recover_shard_store(store_root, index: int) -> tuple[Path, int]:
+    """Integrity-check shard ``index``'s store before it is resumed.
 
     Corrupt or orphaned payload files are quarantined (the manifest is
     truncated to its intact prefix, so the shard re-captures exactly the
     dropped tail); a manifest too damaged to parse quarantines the whole
-    directory and the shard re-captures from scratch.  Returns the count
-    of quarantined files.
+    directory and the shard re-captures from scratch.  Returns the shard's
+    store directory and the count of quarantined files.
     """
+    store_dir = shard_store_dir(store_root, index)
     if not (store_dir / "manifest.json").exists():
-        return 0
+        return store_dir, 0
     try:
         store = TraceStore.open(store_dir)
     except CorruptManifestError:
         _quarantine_store_dir(store_dir)
-        return 1
-    return len(store.recover().quarantined)
+        return store_dir, 1
+    return store_dir, len(store.recover().quarantined)
 
 
-def is_shard_store_root(path) -> bool:
-    """Does ``path`` look like a parallel campaign's per-shard store root?
+def open_store_root(store_root, kind: str, meta: dict) -> CampaignJournal:
+    """Open (or start) a sharded campaign's store root and its journal.
 
-    Serial campaigns persist one :class:`TraceStore` (a ``manifest.json``
-    directly in the directory); parallel campaigns persist one store per
-    ``shard-NNNNNN`` subdirectory.  Both campaign entry points use this to
-    refuse a store captured by the other mode instead of silently
-    recapturing next to it.
+    Both sharded campaigns persist one trace store per shard under the
+    root, so a root holding one serial :class:`TraceStore` is refused
+    rather than silently recaptured next to.
     """
-    return (Path(path) / "shard-000000" / "manifest.json").exists()
+    root = Path(store_root)
+    if (root / "manifest.json").exists():
+        raise IncompatibleArtifactError(
+            root, "layout", "serial TraceStore", "per-shard stores",
+            hint="resume it as a serial campaign (without --workers), or "
+                 "point the sharded campaign at a fresh directory",
+        )
+    root.mkdir(parents=True, exist_ok=True)
+    return CampaignJournal.open_or_create(root, kind, meta=meta)
 
 
 def run_shard(
@@ -448,20 +454,19 @@ def run_shard(
     have captured.  A store longer than the shard (a previous run with a
     larger budget, or a larger shard size — per-index shard streams are
     prefixes of the same child-seed stream either way) replays only its
-    first ``shard.count`` traces.
+    first ``shard.count`` traces.  A store captured as another shard, under
+    another campaign seed or in another capture mode is refused.
 
     ``fault_plan`` (a :class:`~repro.runtime.faults.FaultPlan`) is the
     chaos-test hook: it may kill, hang, or corrupt this shard at capture
     boundaries.
     """
     _, accumulator = resolve_distinguisher(distinguisher, aggregate=aggregate)
-    capture_mode = getattr(spec, "capture_mode", "exact")
     store = None
     replayed = 0
     quarantined = 0
     if store_root is not None:
-        store_dir = _shard_store_dir(store_root, shard.index)
-        quarantined = _recover_store_dir(store_dir)
+        store_dir, quarantined = recover_shard_store(store_root, shard.index)
         store = TraceStore.open_or_create(
             store_dir,
             n_samples=spec.n_samples,
@@ -469,30 +474,10 @@ def run_shard(
             key=spec.true_key,
             meta={
                 "shard_index": shard.index,
-                "start": shard.start,
                 "campaign_seed": shard.campaign_seed,
-                "capture_mode": capture_mode,
+                "capture_mode": getattr(spec, "capture_mode", "exact"),
             },
         )
-        meta = store.meta
-        if (
-            meta.get("shard_index", shard.index) != shard.index
-            or meta.get("campaign_seed", shard.campaign_seed)
-            != shard.campaign_seed
-        ):
-            raise ValueError(
-                f"store {store.path} was captured as shard "
-                f"{meta.get('shard_index')} of campaign seed "
-                f"{meta.get('campaign_seed')}, not shard {shard.index} "
-                f"of seed {shard.campaign_seed}"
-            )
-        stored_mode = meta.get("capture_mode", "exact")
-        if len(store) and stored_mode != capture_mode:
-            raise ValueError(
-                f"store {store.path} was captured in {stored_mode!r} capture "
-                f"mode; resuming it in {capture_mode!r} would splice two "
-                f"different trace streams"
-            )
         # The store holds a prefix of this shard's seeded stream (possibly
         # a longer one, if a previous run had a larger budget) — replay at
         # most shard.count traces of it.
@@ -656,14 +641,7 @@ class ParallelCampaign:
             raise ValueError(f"max_traces must be >= {self._min_traces}")
         journal = None
         if self.store_root is not None:
-            if (Path(self.store_root) / "manifest.json").exists():
-                raise ValueError(
-                    f"{self.store_root} holds a single serial TraceStore; "
-                    f"resume it without workers, or point the parallel "
-                    f"campaign at a fresh directory"
-                )
-            Path(self.store_root).mkdir(parents=True, exist_ok=True)
-            journal = CampaignJournal.open_or_create(
+            journal = open_store_root(
                 self.store_root, "parallel_campaign",
                 meta={
                     "seed": self.seed,

@@ -9,7 +9,9 @@ needs:
   reseed is *jitterless*: shard streams are pure functions of
   ``(campaign_seed, index)`` (see :func:`repro.runtime.parallel
   .shard_seed`), so the retry re-captures the bit-identical shard and no
-  randomness needs to be perturbed for the retry to be safe;
+  randomness needs to be perturbed for the retry to be safe.  A
+  :class:`~repro.errors.ReproError` (a refused shard store) is raised
+  as is, without retry;
 * a ``BrokenProcessPool`` (worker killed by the OS, OOM, hard crash)
   **rebuilds the pool** and re-dispatches only the unfinished shards —
   results already shipped back are kept.  The break costs one retry,
@@ -43,6 +45,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.errors import ReproError, ShardFailure, UsageError
+
 __all__ = ["RetryPolicy", "ShardExecutor", "ShardFailure", "pool_context"]
 
 
@@ -71,27 +75,15 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise UsageError("max_retries must be >= 0")
         if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
+            raise UsageError("backoff must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be > 0 (or None to disable)")
+            raise UsageError("timeout must be > 0 (or None to disable)")
 
     def delay(self, retries_done: int) -> float:
         """Backoff before retry number ``retries_done + 1``."""
         return self.backoff * (2.0 ** int(retries_done))
-
-
-class ShardFailure(RuntimeError):
-    """A shard that failed every attempt its :class:`RetryPolicy` allowed."""
-
-    def __init__(self, index: int, attempts: int, cause: BaseException) -> None:
-        super().__init__(
-            f"shard {index} failed after {attempts} attempt(s): {cause!r}"
-        )
-        self.index = int(index)
-        self.attempts = int(attempts)
-        self.cause = cause
 
 
 class ShardExecutor:
@@ -239,7 +231,9 @@ class ShardExecutor:
                     )
                 else:
                     value = fn(*args)
-            except (KeyboardInterrupt, SystemExit):
+            except (KeyboardInterrupt, SystemExit, ReproError):
+                # A refusal (an incompatible shard store, an invalid
+                # option) fails the same way on every attempt.
                 raise
             except FutureTimeoutError as exc:
                 # Py >= 3.11 aliases this to builtin TimeoutError, so a

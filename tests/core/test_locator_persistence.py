@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import PipelineConfig
 from repro.core.locator import CryptoLocator
+from repro.errors import IncompatibleArtifactError
 from repro.soc import SimulatedPlatform
 
 CONFIG = PipelineConfig(
@@ -59,8 +60,28 @@ class TestPersistence:
         from dataclasses import replace
 
         other = CryptoLocator(replace(CONFIG, stride=8), seed=0)
-        with pytest.raises(ValueError, match="configured"):
+        with pytest.raises(ValueError, match="stride"):
             other.load(path)
+
+    def test_load_refuses_another_random_delay(self, trained):
+        """An RD-2 locator misses RD-0 COs, so loading it for RD 0 fails."""
+        _, _, path = trained
+        restored = CryptoLocator(CONFIG, seed=0).load(path, max_delay=2)
+        assert restored.platform == {"cipher": "camellia", "max_delay": 2}
+        with pytest.raises(IncompatibleArtifactError) as refused:
+            CryptoLocator(CONFIG, seed=0).load(path, max_delay=0)
+        assert refused.value.field == "max_delay"
+        assert (refused.value.stored, refused.value.wanted) == (2, 0)
+
+    def test_load_refuses_an_unversioned_file(self, trained, tmp_path):
+        _, _, path = trained
+        with np.load(path) as archive:
+            state = {key: archive[key] for key in archive.files}
+        del state["meta.manifest"]
+        state["meta.config"] = np.array(["camellia", "128", "112", "16", "17"])
+        np.savez(tmp_path / "old.npz", **state)
+        with pytest.raises(IncompatibleArtifactError, match="repro train"):
+            CryptoLocator(CONFIG, seed=0).load(tmp_path / "old.npz")
 
     def test_restored_locator_can_align(self, trained):
         _, platform, path = trained

@@ -196,8 +196,6 @@ class TestTvlaCampaign:
         with pytest.raises(ValueError):
             TvlaCampaign(_spec(), fixed_plaintext=b"short")
         with pytest.raises(ValueError):
-            TvlaCampaign(_spec(), store=object(), store_dir="x")
-        with pytest.raises(ValueError):
             TvlaCampaign(_spec()).run(1)
 
     def test_unprotected_leaks_and_masked_passes(self):

@@ -139,7 +139,7 @@ class TestAttackTimeRefusals:
             acc.update(traces, pts)
 
     def test_wrong_profile_kind_refused(self, nn_profile):
-        with pytest.raises(ValueError, match="needs a 'template' profile"):
+        with pytest.raises(ValueError, match="kind 'nn'"):
             TemplateDistinguisher(nn_profile)
 
     def test_unsaved_profile_cannot_checkpoint(
@@ -173,7 +173,7 @@ class TestAttackTimeRefusals:
         fit_template_profile(
             profiling_set, SMALL_KEY, model="hw", pois=POIS, pooled=False
         ).save(tmp_path / "p")
-        with pytest.raises(ValueError, match="different profile"):
+        with pytest.raises(ValueError, match="fingerprint"):
             TemplateDistinguisher.load(tmp_path / "ckpt.npz")
 
     def test_pois_outside_the_segment_rejected(self, profiling_set):

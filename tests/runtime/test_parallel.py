@@ -175,7 +175,7 @@ class TestRunShard:
     def test_foreign_store_rejected(self, tmp_path):
         run_shard(SPEC, self.SHARD, store_root=tmp_path)
         imposter = ShardSpec(index=2, start=200, count=100, campaign_seed=10)
-        with pytest.raises(ValueError, match="campaign seed"):
+        with pytest.raises(ValueError, match="campaign_seed"):
             run_shard(SPEC, imposter, store_root=tmp_path)
 
     def test_oversized_store_replays_only_the_shard_prefix(self, tmp_path):

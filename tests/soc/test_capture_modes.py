@@ -358,7 +358,7 @@ class TestShardStoreModeGuard:
 
         shard = ShardSpec(index=0, start=0, count=40, campaign_seed=3)
         run_shard(spec("fast"), shard, store_root=tmp_path)
-        with pytest.raises(ValueError, match="capture mode"):
+        with pytest.raises(ValueError, match="capture_mode"):
             run_shard(spec("exact"), shard, store_root=tmp_path)
         # Same mode resumes fine (everything replayed, nothing captured).
         again = run_shard(spec("fast"), shard, store_root=tmp_path)

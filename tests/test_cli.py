@@ -22,9 +22,9 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["train", "--cipher", "des"])
 
-    def test_locate_needs_existing_model(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["locate", "--model", str(tmp_path / "missing.npz")])
+    def test_locate_needs_existing_model(self, tmp_path, capsys):
+        assert main(["locate", "--model", str(tmp_path / "missing.npz")]) == 2
+        assert "missing.npz" in capsys.readouterr().err
 
     def test_attack_locates_aligns_and_runs_the_cpa(self, tmp_path, capsys):
         """`repro attack` end to end on a tiny saved locator."""
@@ -236,9 +236,9 @@ class TestCliProfiledWorkflow:
         assert main(["bench", "--distinguisher", "nnp"]) == 2
         assert "repro campaign" in capsys.readouterr().err
 
-    def test_assess_rejects_a_missing_store(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["assess", "--store", str(tmp_path / "nope")])
+    def test_assess_rejects_a_missing_store(self, tmp_path, capsys):
+        assert main(["assess", "--store", str(tmp_path / "nope")]) == 2
+        assert "no trace store" in capsys.readouterr().err
 
 
 class TestCliTvlaParallel:

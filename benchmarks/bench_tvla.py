@@ -5,8 +5,9 @@ Two halves, mirroring the evaluation subsystem:
 
 * **TVLA grid** — runs the built-in fixed-vs-random matrix (unprotected,
   shuffled, clock-jittered, order-1 and order-2 masked AES) through
-  :class:`~repro.evaluation.TvlaCampaign` and records, per
-  configuration, the capture+update throughput and the verdict
+  :class:`~repro.evaluation.TvlaCampaign` at its defaults (one inline
+  worker) and records, per configuration, the capture+update
+  throughput and the verdict
   (``max |t|``, leak or pass).  The hiding rows must LEAK and the
   masking rows must PASS at the benchmark budget — a verdict flip is a
   correctness regression, not just a perf one.
@@ -14,9 +15,9 @@ Two halves, mirroring the evaluation subsystem:
   repetitions via :meth:`ExperimentEngine.run_ge_curve` on the
   unprotected target and records the traces-to-<0.5-bit budget.
 
-A third section measures the **sharded parallel TVLA** path
-(:class:`~repro.evaluation.ParallelTvlaCampaign`): the same budget run
-inline (``workers=1``) and over a process pool, verifying the merged
+A third section measures the **sharded TVLA** path over smaller shards:
+the same budget run inline (``workers=1``) and over a process pool,
+verifying the merged
 t-maps are bit-identical (a mismatch is a correctness failure) and
 recording the wall-clock ratio.  The ratio is reported as
 ``pool_vs_inline_ratio`` — deliberately *not* a ``speedup`` field, so
@@ -81,14 +82,12 @@ def bench_parallel_tvla(n_per_group, shard_size, workers, seed):
     """Inline vs pooled sharded TVLA: bit-identical t-maps, wall ratio."""
     import numpy as np
 
-    from repro.evaluation import ParallelTvlaCampaign
-
     spec = PlatformSpec(
         cipher_name="aes", max_delay=0, noise_std=1.0, capture_mode="fast"
     )
 
     def run(n_workers):
-        campaign = ParallelTvlaCampaign(
+        campaign = TvlaCampaign(
             spec, seed=seed, workers=n_workers, shard_size=shard_size,
             batch_size=256,
         )

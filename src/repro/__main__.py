@@ -35,7 +35,7 @@ The capture countermeasures stack via ``--countermeasure`` (``shuffle``,
 ``jitter``/``jitter-N``, comma-separated, on top of ``--rd``) and
 ``--masking-order 2`` for the three-share masked AES datapath.
 
-Parallel campaigns (``campaign``/``tvla`` with ``--workers``) are fault
+Sharded runs (``tvla`` always, ``campaign`` with ``--workers``) are fault
 tolerant: failed shards retry with exponential backoff (``--max-retries``
 / ``--retry-backoff``), hung shards are cancelled by the ``--shard-timeout``
 watchdog, and re-running the same command resumes just the missing work.
@@ -177,9 +177,9 @@ def _distinguisher_spec(args: argparse.Namespace, platform=None):
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="shard the capture over a process pool; at a fixed "
-             "--shard-size the merged result is identical for any worker "
-             "count")
+        help="shard the capture over a process pool (tvla always shards, "
+             "on one inline worker by default); at a fixed --shard-size "
+             "the merged result is identical for any worker count")
     parser.add_argument(
         "--shard-size", type=int, default=1024,
         help="traces (per population, for tvla) per shard — the unit of "
@@ -187,15 +187,15 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-retries", type=int, default=None,
         help="failed-shard retry budget before the campaign degrades to a "
-             "partial result (default 2; only with --workers)")
+             "partial result (default 2; campaign: only with --workers)")
     parser.add_argument(
         "--retry-backoff", type=float, default=None,
         help="base seconds of exponential per-shard retry backoff "
-             "(default 0.5; only with --workers)")
+             "(default 0.5; campaign: only with --workers)")
     parser.add_argument(
         "--shard-timeout", type=float, default=None,
         help="per-shard wall-clock watchdog in seconds; hung shards are "
-             "cancelled and requeued (only with --workers)")
+             "cancelled and requeued (campaign: only with --workers)")
     parser.add_argument(
         "--status", action="store_true",
         help="report the campaign journal under --store and exit")
@@ -281,7 +281,7 @@ def _platform_spec(args: argparse.Namespace):
     )
 
 
-def _open_store(args: argparse.Namespace, path, source, platform):
+def _open_store(args: argparse.Namespace, path, source, platform_spec):
     """Open or create the serial trace store a capture command resumes."""
     from repro.campaign import TraceStore
 
@@ -290,9 +290,7 @@ def _open_store(args: argparse.Namespace, path, source, platform):
         n_samples=source.n_samples,
         block_size=source.block_size,
         key=source.true_key,
-        meta={"cipher": args.cipher, "rd": args.rd, "seed": args.seed,
-              "capture_mode": args.capture_mode,
-              "countermeasure": platform.countermeasure_name},
+        meta={**platform_spec.store_meta(), "seed": args.seed},
     )
 
 
@@ -456,8 +454,8 @@ def _campaign_status(store) -> int:
             f"no campaign at {store}: directory does not exist")
     if (root / "manifest.json").exists():
         raise UsageError(f"{store} holds a serial trace store (no journal); "
-                         f"journals are written by parallel campaigns "
-                         f"(--workers)")
+                         f"journals are written by sharded runs (tvla, and "
+                         f"campaign --workers)")
     print(CampaignJournal.load(root).describe())
     return 0
 
@@ -475,11 +473,7 @@ def _retry_options(args: argparse.Namespace) -> dict:
     retry = {"max_retries": args.max_retries,
              "retry_backoff": args.retry_backoff,
              "shard_timeout": args.shard_timeout}
-    retry = {name: value for name, value in retry.items() if value is not None}
-    if retry and args.workers is None:
-        raise UsageError("--max-retries/--retry-backoff/--shard-timeout apply "
-                         "to the sharded parallel path; pass --workers")
-    return retry
+    return {name: value for name, value in retry.items() if value is not None}
 
 
 def _outcome(result, success: bool, scope: str) -> int:
@@ -500,6 +494,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from repro.runtime.parallel import ParallelCampaign, PlatformCampaignSpec
 
     retry = _retry_options(args)
+    if retry and args.workers is None:
+        raise UsageError("--max-retries/--retry-backoff/--shard-timeout apply "
+                         "to the sharded parallel path; pass --workers")
     platform_spec = _platform_spec(args)
     spec = _distinguisher_spec(args, platform_spec)
     segment_length = args.segment_length
@@ -536,7 +533,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"store root: {args.store} (one trace store per shard)")
     else:
         if args.store is not None:
-            store = _open_store(args, args.store, source, platform)
+            store = _open_store(args, args.store, source, platform_spec)
             print(f"store: {store.path} ({len(store)} traces on disk)")
         campaign = AttackCampaign(source, store=store, **settings)
         if campaign.resumed_from:
@@ -596,7 +593,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     output = Path(args.output)
     store = _open_store(
         args, args.store if args.store is not None else output / "traces",
-        source, platform,
+        source, platform_spec,
     )
     campaign = ProfilingCampaign(
         source, store, model=model, batch_size=args.batch_size
@@ -703,16 +700,13 @@ _TVLA_GRID = (
 
 
 def _tvla_campaign(args: argparse.Namespace, spec, retry: dict, store=None):
-    """A serial or (with ``--workers``) sharded TVLA campaign on ``spec``."""
-    from repro.evaluation import ParallelTvlaCampaign, TvlaCampaign
+    """The sharded TVLA campaign on ``spec`` (one inline worker by default)."""
+    from repro.evaluation import TvlaCampaign
 
-    settings = dict(seed=args.seed, segment_length=args.segment_length,
-                    batch_size=args.batch_size)
-    if args.workers is None:
-        return TvlaCampaign(spec, store_dir=store, **settings)
-    return ParallelTvlaCampaign(
-        spec, workers=args.workers, shard_size=args.shard_size,
-        store_root=store, **settings, **retry,
+    return TvlaCampaign(
+        spec, seed=args.seed, workers=args.workers or 1,
+        shard_size=args.shard_size, segment_length=args.segment_length,
+        store_root=store, batch_size=args.batch_size, **retry,
     )
 
 
@@ -723,9 +717,8 @@ def _run_tvla_grid(args: argparse.Namespace, retry: dict) -> int:
     if args.store is not None or args.output is not None:
         raise UsageError("--store/--output are per-configuration; run grid "
                          "entries individually to persist them")
-    suffix = "" if args.workers is None else f", {args.workers} workers"
     print(f"tvla grid: {len(_TVLA_GRID)} configurations, "
-          f"{args.traces} traces per population{suffix}")
+          f"{args.traces} traces per population, {args.workers or 1} workers")
     for cipher, rd, shuffle, jitter, order in _TVLA_GRID:
         spec = PlatformSpec(
             cipher_name=cipher, max_delay=rd, noise_std=args.noise_std,
@@ -747,13 +740,10 @@ def cmd_tvla(args: argparse.Namespace) -> int:
     if args.grid:
         return _run_tvla_grid(args, retry)
     campaign = _tvla_campaign(args, _platform_spec(args), retry, args.store)
-    name, shards = "tvla", ""
-    if args.workers is not None:
-        name = f"tvla x{args.workers}"
-        shards = f" in shards of {args.shard_size}"
-    print(f"{name}: {campaign.countermeasure_name} on {args.cipher}, "
-          f"{campaign.segment_length}-sample segments, "
-          f"{args.traces} traces per population{shards}")
+    print(f"tvla x{campaign.workers}: {campaign.countermeasure_name} on "
+          f"{args.cipher}, {campaign.segment_length}-sample segments, "
+          f"{args.traces} traces per population in shards of "
+          f"{args.shard_size}")
     result = campaign.run(args.traces, verbose=True)
     if campaign.resumed_from:
         print(f"resumed {campaign.resumed_from} traces from the store")

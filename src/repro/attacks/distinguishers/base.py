@@ -34,7 +34,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.attacks.key_rank import MIN_CPA_TRACES, key_byte_rank
-from repro.errors import require_compatible
+from repro.errors import load_npz, require_compatible
 from repro.signalproc import prepare_segments
 
 __all__ = ["Distinguisher", "SufficientStatisticDistinguisher"]
@@ -297,20 +297,20 @@ class SufficientStatisticDistinguisher:
     @classmethod
     def load(cls, path):
         """Restore an accumulator saved by :meth:`save`."""
-        with np.load(path) as state:
-            require_compatible(path, {"kind": str(state.get("kind"))},
-                               kind=cls._KIND)
-            fields = {"config", "n", "n_bytes", "t_ref", *cls._STATE_FIELDS}
-            missing = sorted(fields.difference(state.files))
-            if missing:
-                raise ValueError(
-                    f"{path} is an incomplete {cls.__name__} checkpoint "
-                    f"(missing {', '.join(missing)})"
-                )
-            acc = cls(**json.loads(str(state["config"])))
-            acc._n = int(state["n"][0])
-            acc._n_bytes = int(state["n_bytes"][0])
-            acc._t_ref = state["t_ref"].copy()
-            for name in cls._STATE_FIELDS:
-                setattr(acc, name, state[name].copy())
+        state = load_npz(path)
+        require_compatible(path, {"kind": str(state.get("kind"))},
+                           kind=cls._KIND)
+        fields = {"config", "n", "n_bytes", "t_ref", *cls._STATE_FIELDS}
+        missing = sorted(fields.difference(state))
+        if missing:
+            raise ValueError(
+                f"{path} is an incomplete {cls.__name__} checkpoint "
+                f"(missing {', '.join(missing)})"
+            )
+        acc = cls(**json.loads(str(state["config"])))
+        acc._n = int(state["n"][0])
+        acc._n_bytes = int(state["n_bytes"][0])
+        acc._t_ref = state["t_ref"]
+        for name in cls._STATE_FIELDS:
+            setattr(acc, name, state[name])
         return acc

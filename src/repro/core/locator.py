@@ -27,7 +27,7 @@ from repro.core.model import LocatorCNN, build_locator_cnn
 from repro.core.segmentation import SegmentationConfig, segment_regions
 from repro.core.sliding_window import SlidingWindowClassifier
 from repro.core.alignment import align_cos
-from repro.errors import require_compatible
+from repro.errors import load_npz, require_compatible
 from repro.nn import Adam, Trainer, TrainHistory
 from repro.nn.data import ArrayDataset
 from repro.nn.metrics import normalized_confusion
@@ -503,8 +503,7 @@ class CryptoLocator:
         misses the COs of another.  Files from before locators were
         versioned are refused.
         """
-        with np.load(path) as archive:
-            state = {key: archive[key] for key in archive.files}
+        state = load_npz(path)
         manifest = json.loads(str(state.pop("meta.manifest", "{}")))
         artifact = f"locator {path}"
         require_compatible(artifact, {"version": 0, **manifest}, kind=_KIND,

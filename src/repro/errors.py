@@ -3,14 +3,19 @@
 Every loader of what an earlier run left on disk — trace stores, sharded
 store roots, profiles, campaign journals, ``.npz`` checkpoints, saved
 locators — states what the current run wants and calls
-:func:`require_compatible`.  The CLI maps :class:`ShardFailure` to exit
-code 4 and any other :class:`ReproError` to 2.  Each class also keeps
-the builtin base its callers have always caught.
+:func:`require_compatible`; every ``.npz`` artifact is read through
+:func:`load_npz`.  The CLI maps :class:`ShardFailure` to exit code 4 and
+any other :class:`ReproError` to 2.  Each class also keeps the builtin
+base its callers have always caught.
 """
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from collections.abc import Mapping
+
+import numpy as np
 
 __all__ = [
     "CorruptArtifactError",
@@ -19,6 +24,7 @@ __all__ = [
     "ReproError",
     "ShardFailure",
     "UsageError",
+    "load_npz",
     "require_compatible",
 ]
 
@@ -84,3 +90,25 @@ def require_compatible(artifact, stored: Mapping, /, *, hint: str = "",
         have = stored.get(field)
         if have is not None and want is not None and have != want:
             raise IncompatibleArtifactError(artifact, field, have, want, hint)
+
+
+def load_npz(path) -> dict[str, np.ndarray]:
+    """Every array of the ``.npz`` archive at ``path``, read into memory.
+
+    A file that is not a readable archive (junk, a plain ``.npy``, a
+    truncated zip) raises :class:`CorruptArtifactError`; a missing file
+    stays :class:`FileNotFoundError`.
+    """
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a plain array, not an archive")
+        with archive:
+            return {name: archive[name] for name in archive.files}
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile,
+            zlib.error) as error:
+        raise CorruptArtifactError(
+            f"{path} is not a readable .npz archive ({error})"
+        ) from error

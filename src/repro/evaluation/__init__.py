@@ -27,11 +27,7 @@ from repro.evaluation.tvla import (
     TvlaResult,
     WelchTAccumulator,
 )
-from repro.evaluation.parallel_tvla import (
-    ParallelTvlaCampaign,
-    TvlaShardResult,
-    run_tvla_shard,
-)
+from repro.evaluation.parallel_tvla import ParallelTvlaCampaign, run_tvla_shard
 
 __all__ = [
     "HitStats",
@@ -53,6 +49,5 @@ __all__ = [
     "TvlaResult",
     "WelchTAccumulator",
     "ParallelTvlaCampaign",
-    "TvlaShardResult",
     "run_tvla_shard",
 ]

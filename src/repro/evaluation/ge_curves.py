@@ -16,7 +16,10 @@ accumulators in this repository.
 Repetitions must share a checkpoint ladder for their bins to align;
 :meth:`ExperimentEngine.run_ge_curve
 <repro.runtime.engine.ExperimentEngine.run_ge_curve>` arranges that by
-passing every repetition the same explicit ladder.
+passing every repetition the same explicit ladder, and runs the
+repetitions through :func:`~repro.runtime.parallel.run_shards` (retry,
+worker termination) at any worker count, folding each repetition's
+records in repetition order.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 
 import numpy as np
 
-from repro.errors import require_compatible
+from repro.errors import load_npz, require_compatible
 from repro.evaluation.convergence import guessing_entropy
 
 __all__ = ["GuessingEntropyAccumulator"]
@@ -133,14 +136,12 @@ class GuessingEntropyAccumulator:
     @classmethod
     def load(cls, path) -> "GuessingEntropyAccumulator":
         """Restore an accumulator saved by :meth:`save`."""
-        with np.load(path) as state:
-            require_compatible(path, {"kind": str(state.get("kind"))},
-                               kind=cls._KIND)
-            config = json.loads(str(state["config"]))
-            accumulator = cls()
-            accumulator.n_repetitions = int(config["n_repetitions"])
-            for n_traces, moments in zip(
-                state["checkpoints"], state["moments"]
-            ):
-                accumulator._bins[int(n_traces)] = [float(m) for m in moments]
+        state = load_npz(path)
+        require_compatible(path, {"kind": str(state.get("kind"))},
+                           kind=cls._KIND)
+        config = json.loads(str(state["config"]))
+        accumulator = cls()
+        accumulator.n_repetitions = int(config["n_repetitions"])
+        for n_traces, moments in zip(state["checkpoints"], state["moments"]):
+            accumulator._bins[int(n_traces)] = [float(m) for m in moments]
         return accumulator

@@ -21,15 +21,19 @@ like :class:`~repro.profiled.stats.ClassStats`.  Its :meth:`t` matches
 matrices to float precision.
 
 :class:`TvlaCampaign` drives the interleaved capture through the
-existing platform machinery: two platforms built from one
-:class:`~repro.soc.platform.PlatformSpec` (one per population, with
-seeds spawned from the campaign seed so the populations are independent
-streams), segments cut by :meth:`capture_attack_segments`, an optional
-:class:`~repro.campaign.store.TraceStore` for durability.  Stored traces
-are classified on resume by comparing their plaintext to the fixed
-vector, so an interrupted campaign replays, fast-forwards both platform
-streams, and continues to exactly the verdict an uninterrupted run
-reaches.
+existing platform machinery, sharded like the attack campaigns
+(:mod:`repro.runtime.parallel`): the per-population budget is cut into
+fixed shards, shard ``i`` captures both populations on two platforms
+built from one :class:`~repro.soc.platform.PlatformSpec` and seeded from
+the ``i``-th spawned child of the campaign seed, and the parent merges
+the shards' statistics in shard order through
+:func:`~repro.runtime.parallel.run_shards`.  Welch-t statistics merge
+exactly, so the verdict is independent of the worker count, and
+``workers=1`` runs the same shard plan inline.  With a ``store_root``
+each shard persists to its own trace store; stored traces are classified
+on resume by comparing their plaintext to the fixed vector, so an
+interrupted campaign replays, fast-forwards both platform streams, and
+continues to exactly the verdict an uninterrupted run reaches.
 """
 
 from __future__ import annotations
@@ -40,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attacks.assessment import TVLA_THRESHOLD
-from repro.campaign.store import TraceStore
-from repro.errors import require_compatible
+from repro.errors import load_npz, require_compatible
+from repro.runtime.parallel import open_store_root, plan_shards, run_shards
+from repro.runtime.retry import RetryPolicy
 from repro.soc.platform import PlatformSpec
 
 __all__ = [
@@ -195,20 +200,16 @@ class WelchTAccumulator:
     @classmethod
     def load(cls, path) -> "WelchTAccumulator":
         """Restore statistics saved by :meth:`save`."""
-        with np.load(path) as state:
-            require_compatible(path, {"kind": str(state.get("kind"))},
-                               kind=cls._KIND)
-            config = json.loads(str(state["config"]))
-            accumulator = cls(threshold=config["threshold"])
-            accumulator._n = {
-                g: int(state["n"][i]) for i, g in enumerate(_GROUPS)
-            }
-            accumulator._sums = {
-                g: state["sums"][i].copy() for i, g in enumerate(_GROUPS)
-            }
-            accumulator._sumsq = {
-                g: state["sumsq"][i].copy() for i, g in enumerate(_GROUPS)
-            }
+        state = load_npz(path)
+        require_compatible(path, {"kind": str(state.get("kind"))},
+                           kind=cls._KIND)
+        config = json.loads(str(state["config"]))
+        accumulator = cls(threshold=config["threshold"])
+        accumulator._n = {g: int(state["n"][i]) for i, g in enumerate(_GROUPS)}
+        accumulator._sums = {g: state["sums"][i] for i, g in enumerate(_GROUPS)}
+        accumulator._sumsq = {
+            g: state["sumsq"][i] for i, g in enumerate(_GROUPS)
+        }
         return accumulator
 
 
@@ -257,8 +258,14 @@ class TvlaResult:
         )
 
 
+def tvla_store_meta(spec: PlatformSpec, fixed_plaintext: bytes) -> dict:
+    """The store fields every shard of one TVLA campaign shares."""
+    return {"purpose": "tvla", "fixed_plaintext": fixed_plaintext.hex(),
+            **spec.store_meta()}
+
+
 class TvlaCampaign:
-    """Interleaved fixed-vs-random capture feeding a Welch-t verdict.
+    """Sharded interleaved fixed-vs-random capture feeding a Welch-t verdict.
 
     Parameters
     ----------
@@ -266,82 +273,82 @@ class TvlaCampaign:
         The platform recipe (cipher, countermeasures, capture mode) both
         populations are captured on.
     seed:
-        Campaign seed; the two populations' platform seeds and the shared
-        key are spawned from it, so a campaign is fully reproducible.  A
-        :class:`numpy.random.SeedSequence` is accepted in place of the
-        integer — the sharded parallel campaign seeds each shard's
-        sub-campaign with the shard's spawned child.
+        Campaign seed; the shards' platform seeds and the shared key are
+        spawned from it, so a campaign is fully reproducible.
+    workers:
+        Pool width; 1 runs the shards inline.  For a fixed ``(spec,
+        seed, shard_size)`` the t-map is bit-identical at any width.
+    shard_size:
+        Traces **per population** per shard — the unit of parallel work
+        and seed derivation.
     fixed_plaintext:
         The fixed population's input; the CRI AES-128 vector by default.
     key:
         Shared key of both populations; derived from ``seed`` when
         omitted.
     segment_length:
-        Samples per stored segment; the fixed platform's empirical mean
-        CO length when omitted.
-    store_dir:
-        Optional durable trace-store directory, opened or created with
-        the campaign's geometry, key and :meth:`store_meta` (a store
-        captured under other settings is refused).  Existing content is
-        classified by plaintext (fixed vector or not), replayed into the
-        accumulator, and both platform streams are fast-forwarded past
-        their share — resuming an interrupted campaign reaches the
-        verdict of an uninterrupted one.
+        Samples per stored segment; by default the mean CO length of a
+        platform built on the campaign seed, minus the unmasked trailer.
+    store_root:
+        Optional directory of per-shard trace stores.  Shard stores must
+        fit the campaign's geometry, key and store fields (another
+        countermeasure, capture mode or fixed vector is refused, before
+        the root's journal is touched); existing content is replayed, at
+        most ``shard_size`` traces per population and shard, and only
+        the remainder is captured.  A serial single-store directory is
+        refused.
     batch_size:
         Traces captured per population per interleaving round.
-    replay_limit:
-        Per-population cap on traces replayed from the store.  A sharded
-        parallel campaign resumes each shard with the shard's trace quota
-        here, so a store captured under a larger budget replays only the
-        shard-sized prefix instead of splicing extra traces into the
-        verdict.
+    max_retries, retry_backoff, shard_timeout, fault_plan:
+        The shard retry layer (:class:`~repro.runtime.retry.RetryPolicy`)
+        and the chaos-test hook.  A shard that exhausts its retries
+        degrades the run to a ``partial=True`` verdict over the merged
+        shard prefix.
     """
 
     def __init__(
         self,
         spec: PlatformSpec,
-        seed: "int | np.random.SeedSequence" = 0,
+        seed: int = 0,
+        workers: int = 1,
+        shard_size: int = 1024,
         fixed_plaintext: bytes | None = None,
         key: bytes | None = None,
         segment_length: int | None = None,
-        store_dir=None,
+        store_root=None,
         batch_size: int = 256,
         nop_header: int = 96,
         threshold: float = TVLA_THRESHOLD,
-        replay_limit: int | None = None,
+        max_retries: int = 2,
+        retry_backoff: float = 0.5,
+        shard_timeout: float | None = None,
+        fault_plan=None,
     ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if shard_size < 1:
+            raise ValueError("shard_size must be >= 1")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if replay_limit is not None and replay_limit < 0:
-            raise ValueError("replay_limit must be >= 0")
         self.spec = spec
-        if isinstance(seed, np.random.SeedSequence):
-            root = seed
-            # store_meta must stay JSON-serializable: describe the
-            # sequence by its construction instead of the object.
-            entropy = seed.entropy
-            self.seed = {
-                "entropy": (
-                    None if entropy is None
-                    else int(entropy) if np.isscalar(entropy)
-                    else [int(word) for word in entropy]
-                ),
-                "spawn_key": [int(word) for word in seed.spawn_key],
-            }
-        else:
-            self.seed = int(seed)
-            root = np.random.SeedSequence(self.seed)
+        self.seed = int(seed)
+        self.workers = int(workers)
+        self.shard_size = int(shard_size)
+        self.store_root = store_root
         self.batch_size = int(batch_size)
         self.nop_header = int(nop_header)
-        self.replay_limit = (
-            None if replay_limit is None else int(replay_limit)
+        self.threshold = float(threshold)
+        self.retry_policy = RetryPolicy(
+            max_retries=max_retries,
+            backoff=retry_backoff,
+            timeout=shard_timeout,
         )
-        fixed_seed, random_seed, key_seed = root.spawn(3)
-        self._platforms = {
-            "fixed": spec.build(fixed_seed),
-            "random": spec.build(random_seed),
-        }
-        block = self._platforms["fixed"].cipher.block_size
+        self.fault_plan = fault_plan
+        # Campaign-wide inputs every shard must agree on are derived once
+        # here and shipped to the shards.
+        fixed_seed, _, key_seed = np.random.SeedSequence(self.seed).spawn(3)
+        platform = spec.build(fixed_seed)
+        block = platform.cipher.block_size
         self.fixed_plaintext = bytes(
             fixed_plaintext if fixed_plaintext is not None
             else DEFAULT_FIXED_PLAINTEXT[:block]
@@ -353,9 +360,7 @@ class TvlaCampaign:
             )
         self.key = bytes(
             key if key is not None
-            else np.random.default_rng(key_seed).bytes(
-                self._platforms["fixed"].cipher.key_size
-            )
+            else np.random.default_rng(key_seed).bytes(platform.cipher.key_size)
         )
         if segment_length is None:
             # The default assessment window stops before the cipher's
@@ -365,7 +370,6 @@ class TvlaCampaign:
             # excludes input/output handling from the verdict.  The scope's
             # band-limit FIR shows the first trailer op (raw ciphertext
             # byte 0) ``right_halo`` samples early, so those go too.
-            platform = self._platforms["fixed"]
             scope = platform.oscilloscope
             trailer = (platform.cipher.unmasked_trailer_ops
                        * scope.samples_per_op)
@@ -373,141 +377,85 @@ class TvlaCampaign:
                 trailer += scope.right_halo
             segment_length = platform.mean_co_samples() - trailer
         self.segment_length = int(segment_length)
-        self.accumulator = WelchTAccumulator(threshold=threshold)
-        self.store = None
+        self.countermeasure_name = platform.countermeasure_name
+        self.accumulator = WelchTAccumulator(threshold=self.threshold)
         self.resumed_from = 0
-        self.store_quarantined = 0
-        if store_dir is not None:
-            store = self.store = TraceStore.open_or_create(
-                store_dir,
-                n_samples=self.segment_length,
-                block_size=block,
-                key=self.key,
-                meta=self.store_meta(),
-            )
-            # Quarantine any corrupt/orphaned tail before replay: the
-            # populations re-interleave deterministically, so the campaign
-            # re-captures the dropped suffix instead of crashing here.
-            self.store_quarantined = len(store.recover().quarantined)
-            if len(store):
-                self._replay(store)
-
-    @property
-    def countermeasure_name(self) -> str:
-        return self._platforms["fixed"].countermeasure_name
-
-    def _replay(self, store: TraceStore) -> None:
-        """Classify and fold stored traces; fast-forward both streams.
-
-        With a ``replay_limit`` each population folds at most that many
-        stored traces (the stream is interleaved in capture order, so the
-        kept traces are exactly the prefix the capped campaign captured).
-        """
-        fixed_row = np.frombuffer(self.fixed_plaintext, dtype=np.uint8)
-        for traces, plaintexts in store.iter_chunks(self.batch_size):
-            is_fixed = np.all(
-                np.asarray(plaintexts) == fixed_row[None, :], axis=1
-            )
-            for group, mask in (("fixed", is_fixed), ("random", ~is_fixed)):
-                if not mask.any():
-                    continue
-                chunk = np.asarray(traces)[mask]
-                if self.replay_limit is not None:
-                    room = self.replay_limit - self._n_group(group)
-                    if room <= 0:
-                        continue
-                    chunk = chunk[:room]
-                self.accumulator.update(group, chunk)
-            if self.replay_limit is not None and all(
-                self._n_group(group) >= self.replay_limit
-                for group in ("fixed", "random")
-            ):
-                break
-        self.resumed_from = self.accumulator.n_traces
-        # Each platform's randomness is one seeded stream in capture
-        # order; re-drawing the replayed captures is the only way to
-        # continue it (same discipline as PlatformSegmentSource.skip).
-        self._skip("fixed", self.accumulator.n_fixed)
-        self._skip("random", self.accumulator.n_random)
-
-    def _n_group(self, group: str) -> int:
-        return (
-            self.accumulator.n_fixed if group == "fixed"
-            else self.accumulator.n_random
-        )
-
-    def _skip(self, group: str, count: int) -> None:
-        remaining = count
-        while remaining > 0:
-            step = min(self.batch_size, remaining)
-            self._capture(group, step)
-            remaining -= step
-
-    def _capture(self, group: str, count: int) -> tuple[np.ndarray, np.ndarray]:
-        platform = self._platforms[group]
-        return platform.capture_attack_segments(
-            count,
-            key=self.key,
-            segment_length=self.segment_length,
-            nop_header=self.nop_header,
-            batch_size=self.batch_size,
-            plaintext=self.fixed_plaintext if group == "fixed" else None,
-        )
+        self.partial = False
+        self.failed_shards: tuple[int, ...] = ()
 
     def run(self, n_per_group: int, verbose: bool = False) -> TvlaResult:
-        """Capture until both populations hold ``n_per_group`` traces.
+        """Capture until both merged populations hold ``n_per_group``.
 
-        Populations are captured in alternating ``batch_size`` rounds
-        (the interleaved acquisition the TVLA methodology prescribes to
-        decorrelate environmental drift — inert in simulation but kept
-        for fidelity).  Counts include resumed traces.
+        Resumed traces count toward the budget.  A shard that exhausts
+        its retries degrades the run to a ``partial=True`` verdict over
+        the completed shard prefix; the
+        :class:`~repro.runtime.retry.ShardFailure` propagates instead when
+        that prefix holds fewer than two traces per population (no
+        t-statistic exists to report).
         """
+        # The shard body is looked up on its module at run time, so a
+        # wrapper installed there (perfbench's probes) sees every shard.
+        from repro.evaluation import parallel_tvla
+
         if n_per_group < 2:
             raise ValueError("n_per_group must be >= 2")
-        self.capture(n_per_group, verbose=verbose)
-        return self.result()
+        journal = None
+        if self.store_root is not None:
+            journal = open_store_root(
+                self.store_root, "parallel_tvla",
+                meta={
+                    "seed": self.seed,
+                    "shard_size": self.shard_size,
+                    "countermeasure": self.countermeasure_name,
+                },
+                hint="TVLA store roots hold one store per shard; point the "
+                     "campaign at a fresh directory",
+                key=self.key,
+                **tvla_store_meta(self.spec, self.fixed_plaintext),
+                n_samples=self.segment_length,
+                block_size=len(self.fixed_plaintext),
+            )
+        tasks = [
+            (parallel_tvla.run_tvla_shard, self.spec, shard,
+             self.fixed_plaintext, self.key, self.segment_length,
+             self.store_root, self.batch_size, self.nop_header,
+             self.threshold, self.fault_plan)
+            for shard in plan_shards(self.seed, n_per_group, self.shard_size)
+        ]
+        accumulator = WelchTAccumulator(threshold=self.threshold)
+        resumed = 0
 
-    def capture(self, n_per_group: int, verbose: bool = False) -> None:
-        """The capture loop of :meth:`run`, without the verdict.
-
-        Split out so a sharded parallel campaign can fill shard-sized
-        accumulators (possibly below the two-trace minimum a verdict
-        needs) and compute the statistic only after the merge.
-        """
-        if n_per_group < 1:
-            raise ValueError("n_per_group must be >= 1")
-        while (
-            self.accumulator.n_fixed < n_per_group
-            or self.accumulator.n_random < n_per_group
-        ):
-            for group, have in (
-                ("fixed", self.accumulator.n_fixed),
-                ("random", self.accumulator.n_random),
-            ):
-                want = min(self.batch_size, n_per_group - have)
-                if want <= 0:
-                    continue
-                traces, plaintexts = self._capture(group, want)
-                if self.store is not None:
-                    self.store.append(traces, plaintexts)
-                self.accumulator.update(group, traces)
+        def merge(result) -> None:
+            nonlocal resumed
+            accumulator.merge(result.accumulator)
+            resumed += result.replayed
             if verbose:
                 print(
-                    f"[tvla] {self.accumulator.n_fixed:>6d} fixed / "
-                    f"{self.accumulator.n_random:>6d} random traces"
+                    f"[tvla x{self.workers}] shard {result.index}: "
+                    f"{result.accumulator.n_fixed} fixed / "
+                    f"{result.accumulator.n_random} random"
                 )
 
-    def result(self) -> TvlaResult:
-        """The verdict over everything accumulated so far."""
-        return TvlaResult.of(self.accumulator, self.countermeasure_name)
+        _, failures, _, _ = run_shards(
+            tasks, [len(tasks)], merge, self.workers, self.retry_policy,
+            journal,
+        )
+        partial = bool(failures)
+        if partial and (accumulator.n_fixed < 2 or accumulator.n_random < 2):
+            if journal is not None:
+                journal.set_phase("failed")
+            raise failures[0]
+        self.accumulator = accumulator
+        self.resumed_from = resumed
+        self.partial = partial
+        self.failed_shards = tuple(f.index for f in failures)
+        if journal is not None:
+            journal.set_phase("partial" if partial else "complete")
+        return self.result()
 
-    def store_meta(self) -> dict:
-        """The metadata a durable TVLA store should be created with."""
-        return {
-            "purpose": "tvla",
-            "fixed_plaintext": self.fixed_plaintext.hex(),
-            "countermeasure": self.countermeasure_name,
-            "capture_mode": self.spec.capture_mode,
-            "cipher": self.spec.cipher_name,
-            "seed": self.seed,
-        }
+    def result(self) -> TvlaResult:
+        """The verdict over everything merged so far."""
+        return TvlaResult.of(
+            self.accumulator, self.countermeasure_name,
+            partial=self.partial, failed_shards=self.failed_shards,
+        )

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 
+from repro.errors import load_npz
 from repro.nn.module import Module
 
 __all__ = ["save_state", "load_state"]
@@ -19,6 +20,4 @@ def save_state(model: Module, path: str | os.PathLike) -> None:
 
 def load_state(model: Module, path: str | os.PathLike) -> None:
     """Restore a model saved with :func:`save_state` (strict key match)."""
-    with np.load(path) as archive:
-        state = {key: archive[key] for key in archive.files}
-    model.load_state_dict(state)
+    model.load_state_dict(load_npz(path))

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.attacks.distinguishers.second_order import masked_aes_windows
 from repro.attacks.leakage_models import LeakageModel, get_leakage_model
-from repro.errors import CorruptArtifactError, require_compatible
+from repro.errors import CorruptArtifactError, load_npz, require_compatible
 from repro.profiled.stats import ClassStats, class_values
 
 __all__ = [
@@ -348,19 +348,19 @@ class GaussianTemplateProfile(_ProfileBase):
     @classmethod
     def load(cls, directory, manifest: dict) -> "GaussianTemplateProfile":
         directory = Path(directory)
-        with np.load(directory / "templates.npz") as payload:
-            return cls(
-                get_leakage_model(manifest["leakage_model"]),
-                payload["pois"].copy(),
-                payload["means"].copy(),
-                payload["covs"].copy(),
-                payload["counts"].copy(),
-                segment_length=int(manifest["segment_length"]),
-                pooled=bool(manifest.get("pooled", True)),
-                meta=manifest.get("meta", {}),
-                n_traces=int(manifest.get("n_traces", 0)),
-                path=directory,
-            )
+        payload = load_npz(directory / "templates.npz")
+        return cls(
+            get_leakage_model(manifest["leakage_model"]),
+            payload["pois"],
+            payload["means"],
+            payload["covs"],
+            payload["counts"],
+            segment_length=int(manifest["segment_length"]),
+            pooled=bool(manifest.get("pooled", True)),
+            meta=manifest.get("meta", {}),
+            n_traces=int(manifest.get("n_traces", 0)),
+            path=directory,
+        )
 
 
 class NnProfile(_ProfileBase):
@@ -573,11 +573,9 @@ class NnProfile(_ProfileBase):
         from repro.nn import load_state
 
         directory = Path(directory)
-        with np.load(directory / "scaling.npz") as payload:
-            pois = payload["pois"].copy()
-            x_mean = payload["x_mean"].copy()
-            x_std = payload["x_std"].copy()
-            log_prior = payload["log_prior"].copy()
+        payload = load_npz(directory / "scaling.npz")
+        pois, x_mean = payload["pois"], payload["x_mean"]
+        x_std, log_prior = payload["x_std"], payload["log_prior"]
         model = get_leakage_model(manifest["leakage_model"])
         hidden = int(manifest["hidden"])
         combine = bool(manifest.get("combine", False))

@@ -12,19 +12,19 @@ like an attack campaign: persisted chunks are replayed into the
 statistics and the source is fast-forwarded past them, so an
 interrupted-and-resumed profiling run accumulates exactly the traces an
 uninterrupted one would.  A damaged store is recovered first (corrupt
-tail and orphans quarantined), exactly as the attack campaign does.
+tail and orphans quarantined), through the same
+:func:`~repro.runtime.campaign.resume_store` the attack campaign uses.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.campaign import TraceStore
 from repro.profiled.stats import ClassStats, select_pois
-from repro.runtime.campaign import SegmentSource
+from repro.runtime.campaign import SegmentSource, capture_into, resume_store
 
 __all__ = ["ProfilingCampaign", "ProfilingResult"]
 
@@ -88,20 +88,9 @@ class ProfilingCampaign:
         self.store = store
         self.batch_size = int(batch_size)
         self.stats = ClassStats(key, model=model)
-        self.resumed_from = 0
-        # Quarantine any corrupt/orphaned tail before replay, as
-        # AttackCampaign does: the resumed run re-captures the dropped
-        # suffix of its deterministic stream instead of crashing mid-replay
-        # (truncated shard) or folding damaged traces into the statistics
-        # (bit-flipped shard).
-        self.store_quarantined = len(store.recover().quarantined)
-        if len(store):
-            for traces, plaintexts in store.iter_chunks(self.batch_size):
-                self.stats.update(traces, plaintexts)
-            self.resumed_from = len(store)
-            skip = getattr(source, "skip", None)
-            if skip is not None:
-                skip(self.resumed_from)
+        self.resumed_from, self.store_quarantined = resume_store(
+            store, self.stats.update, self.batch_size, source
+        )
 
     def run(self, n_traces: int, verbose: bool = False) -> ProfilingResult:
         """Capture until the store holds ``n_traces`` traces.
@@ -111,22 +100,20 @@ class ProfilingCampaign:
         """
         if n_traces < 1:
             raise ValueError("n_traces must be >= 1")
-        capture_seconds = 0.0
-        n = self.stats.n_traces
-        while n < n_traces:
-            begin = time.perf_counter()
-            traces, plaintexts = self.source.capture(
-                min(self.batch_size, n_traces - n)
-            )
-            capture_seconds += time.perf_counter() - begin
-            self.store.append(traces, plaintexts)
+
+        def fold(traces, plaintexts):
             n = self.stats.update(traces, plaintexts)
             if verbose:
                 print(f"[profiling] {n:>8d}/{n_traces} traces")
+
+        capture_seconds = capture_into(
+            self.source, fold, n_traces - self.stats.n_traces,
+            self.batch_size, self.store,
+        )
         return ProfilingResult(
             stats=self.stats,
             store=self.store,
-            n_traces=n,
+            n_traces=self.stats.n_traces,
             resumed_from=self.resumed_from,
             capture_seconds=capture_seconds,
         )

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.attacks.assessment import TVLA_THRESHOLD
 from repro.attacks.leakage_models import LeakageModel, get_leakage_model
-from repro.errors import require_compatible
+from repro.errors import load_npz, require_compatible
 
 __all__ = ["ClassStats", "select_pois", "class_values", "TVLA_THRESHOLD"]
 
@@ -274,15 +274,15 @@ class ClassStats:
     @classmethod
     def load(cls, path) -> "ClassStats":
         """Restore statistics saved by :meth:`save`."""
-        with np.load(path) as state:
-            require_compatible(path, {"kind": str(state.get("kind"))},
-                               kind=cls._KIND)
-            config = json.loads(str(state["config"]))
-            stats = cls(bytes.fromhex(config["key"]), model=config["model"])
-            stats._n = int(state["n"][0])
-            stats._counts = state["counts"].copy()
-            stats._sums = state["sums"].copy()
-            stats._sumsq = state["sumsq"].copy()
+        state = load_npz(path)
+        require_compatible(path, {"kind": str(state.get("kind"))},
+                           kind=cls._KIND)
+        config = json.loads(str(state["config"]))
+        stats = cls(bytes.fromhex(config["key"]), model=config["model"])
+        stats._n = int(state["n"][0])
+        stats._counts = state["counts"]
+        stats._sums = state["sums"]
+        stats._sumsq = state["sumsq"]
         return stats
 
 

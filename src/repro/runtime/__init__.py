@@ -29,7 +29,12 @@ across CPU cores: the trace budget is cut into deterministically seeded
 shards (:func:`~repro.runtime.parallel.plan_shards`), workers capture and
 accumulate shards in parallel processes, and the parent merges the
 additive sufficient statistics at shard-aligned rank checkpoints —
-bit-identical results regardless of the worker count.
+bit-identical results regardless of the worker count.  Its dispatch
+loop, :func:`~repro.runtime.parallel.run_shards`, also runs the TVLA
+campaign's shards and the guessing-entropy repetitions, and every
+store-backed capture resumes through
+:func:`~repro.runtime.campaign.resume_store` and captures through
+:func:`~repro.runtime.campaign.capture_into`.
 
 Execution is fault tolerant: :class:`~repro.runtime.retry.ShardExecutor`
 retries failed shards with exponential backoff (re-captures are
@@ -58,6 +63,7 @@ from repro.runtime.parallel import (
     ShardSpec,
     plan_shards,
     run_shard,
+    run_shards,
     shard_aligned_checkpoints,
 )
 from repro.runtime.plan import BatchPlan, ScenarioSpec
@@ -86,5 +92,6 @@ __all__ = [
     "ShardedSegmentSource",
     "plan_shards",
     "run_shard",
+    "run_shards",
     "shard_aligned_checkpoints",
 ]

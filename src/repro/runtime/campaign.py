@@ -19,13 +19,17 @@ forwards the source past them (``SegmentSource.skip``, so a seeded
 simulation continues its capture stream rather than repeating it), and
 keeps capturing where the store left off: an interrupted-and-resumed
 campaign accumulates exactly the traces an uninterrupted one would.
+
+Every store-backed capture in the package — this campaign, the sharded
+attack and TVLA shards, and the profiling campaign — resumes through
+:func:`resume_store` and captures through :func:`capture_into`.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -41,8 +45,10 @@ __all__ = [
     "CheckpointRecord",
     "CampaignResult",
     "AttackCampaign",
+    "capture_into",
     "evaluate_checkpoint",
     "extends_streak",
+    "resume_store",
     "streak_start",
 ]
 
@@ -73,7 +79,8 @@ class PlatformSegmentSource:
     fixed for the campaign's lifetime (drawn from the platform when not
     supplied) and a segment length resolved once — by default the
     platform's empirical mean CO length, which covers the first-round
-    S-box leakage under every random-delay configuration.
+    S-box leakage under every random-delay configuration.  A
+    ``plaintext`` fixes every capture's input (TVLA's fixed population).
     """
 
     def __init__(
@@ -83,6 +90,7 @@ class PlatformSegmentSource:
         segment_length: int | None = None,
         nop_header: int = 96,
         batch_size: int | None = None,
+        plaintext: bytes | None = None,
     ) -> None:
         self.platform = platform
         self.true_key = key if key is not None else platform.random_key()
@@ -93,6 +101,7 @@ class PlatformSegmentSource:
         self.block_size = platform.cipher.block_size
         self.nop_header = int(nop_header)
         self.batch_size = batch_size
+        self.plaintext = plaintext
 
     def capture(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         return self.platform.capture_attack_segments(
@@ -101,6 +110,7 @@ class PlatformSegmentSource:
             segment_length=self.n_samples,
             nop_header=self.nop_header,
             batch_size=self.batch_size,
+            plaintext=self.plaintext,
         )
 
     def skip(self, count: int) -> None:
@@ -116,6 +126,67 @@ class PlatformSegmentSource:
         """
         if count > 0:
             self.capture(count)
+
+
+def resume_store(
+    store: TraceStore,
+    fold,
+    batch_size: int,
+    source: SegmentSource | None = None,
+    limit: int | None = None,
+) -> tuple[int, int]:
+    """Recover ``store``, replay it into ``fold`` and skip ``source`` past it.
+
+    Any corrupt or orphaned tail is quarantined first, so a damaged store
+    resumes (re-capturing the dropped suffix of its deterministic stream)
+    instead of crashing mid-replay or folding damaged traces in.  At most
+    ``limit`` stored traces are folded, in ``batch_size`` chunks, as
+    ``fold(traces, plaintexts)``; a seeded ``source`` is then fast-
+    forwarded past them.  Returns ``(replayed, quarantined files)``.
+    """
+    quarantined = len(store.recover().quarantined)
+    replayed = 0
+    for traces, plaintexts in store.iter_chunks(batch_size):
+        if limit is not None:
+            room = limit - replayed
+            if room <= 0:
+                break
+            traces, plaintexts = traces[:room], plaintexts[:room]
+        fold(traces, plaintexts)
+        replayed += int(traces.shape[0])
+    skip = getattr(source, "skip", None)
+    if replayed and skip is not None:
+        skip(replayed)
+    return replayed, quarantined
+
+
+def capture_into(
+    source: SegmentSource,
+    fold,
+    count: int,
+    batch_size: int,
+    store: TraceStore | None = None,
+    before_batch=None,
+) -> float:
+    """Capture ``count`` traces in batches: append each to ``store``, fold it.
+
+    ``before_batch()`` runs before every capture (the fault-injection
+    hook of the sharded campaigns).  Returns the seconds spent capturing.
+    """
+    seconds = 0.0
+    done = 0
+    while done < count:
+        if before_batch is not None:
+            before_batch()
+        take = min(int(batch_size), count - done)
+        begin = time.perf_counter()
+        traces, plaintexts = source.capture(take)
+        seconds += time.perf_counter() - begin
+        if store is not None:
+            store.append(traces, plaintexts)
+        fold(traces, plaintexts)
+        done += take
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -273,17 +344,9 @@ class AttackCampaign:
         self.resumed_from = 0
         self.store_quarantined = 0
         if store is not None:
-            # Quarantine any corrupt/orphaned tail before replay, so a
-            # damaged store resumes (re-capturing the dropped suffix of
-            # its deterministic stream) instead of crashing mid-replay.
-            self.store_quarantined = len(store.recover().quarantined)
-        if store is not None and len(store):
-            for traces, plaintexts in store.iter_chunks(self.batch_size):
-                self.accumulator.update(traces, plaintexts)
-            self.resumed_from = len(store)
-            skip = getattr(source, "skip", None)
-            if skip is not None:
-                skip(self.resumed_from)
+            self.resumed_from, self.store_quarantined = resume_store(
+                store, self.accumulator.update, self.batch_size, source
+            )
 
     # ------------------------------------------------------------------ #
     # checkpoint schedule                                                #
@@ -319,34 +382,13 @@ class AttackCampaign:
         attack_seconds = 0.0
         n = self.accumulator.n_traces
 
-        # A resumed store may already sit past checkpoints: evaluate the
-        # restored statistics once so early stopping can engage without
-        # waiting for a full new ladder rung.
-        if n >= self.first_checkpoint:
+        def checkpoint() -> None:
+            nonlocal streak, attack_seconds
             begin = time.perf_counter()
-            record = self._evaluate(n)
-            attack_seconds += time.perf_counter() - begin
+            record = evaluate_checkpoint(self.accumulator, self.true_key, n)
             records.append(record)
-            streak = 1 if self._extends_streak(records) else 0
-
-        stopped = streak >= self.rank1_patience
-        while n < max_traces and not stopped:
-            target = min(self._next_checkpoint(n), max_traces)
-            while n < target:
-                begin = time.perf_counter()
-                traces, plaintexts = self.source.capture(min(self.batch_size, target - n))
-                capture_seconds += time.perf_counter() - begin
-                begin = time.perf_counter()
-                if self.store is not None:
-                    self.store.append(traces, plaintexts)
-                n = self.accumulator.update(traces, plaintexts)
-                attack_seconds += time.perf_counter() - begin
-            begin = time.perf_counter()
-            record = self._evaluate(n)
+            streak = streak + 1 if extends_streak(records, self.true_key) else 0
             attack_seconds += time.perf_counter() - begin
-            records.append(record)
-            streak = streak + 1 if self._extends_streak(records) else 0
-            stopped = streak >= self.rank1_patience
             if verbose:
                 rank = record.max_rank
                 print(
@@ -355,11 +397,29 @@ class AttackCampaign:
                     f"streak {streak}/{self.rank1_patience}"
                 )
 
+        # A resumed store may already sit past checkpoints: evaluate the
+        # restored statistics once so early stopping can engage without
+        # waiting for a full new ladder rung.
+        if n >= self.first_checkpoint:
+            checkpoint()
+        while n < max_traces and streak < self.rank1_patience:
+            target = min(self._next_checkpoint(n), max_traces)
+            begin = time.perf_counter()
+            captured = capture_into(
+                self.source, self.accumulator.update, target - n,
+                self.batch_size, self.store,
+            )
+            # Store appends and accumulator updates count as attack time.
+            capture_seconds += captured
+            attack_seconds += time.perf_counter() - begin - captured
+            n = self.accumulator.n_traces
+            checkpoint()
+
         return CampaignResult(
             records=records,
             n_traces=n,
-            traces_to_rank1=self._traces_to_rank1(records, streak),
-            early_stopped=stopped,
+            traces_to_rank1=streak_start(records, self.true_key, streak),
+            early_stopped=streak >= self.rank1_patience,
             recovered_key=(
                 self.accumulator.recovered_key()
                 if n >= self._min_traces
@@ -372,21 +432,6 @@ class AttackCampaign:
             attack_seconds=attack_seconds,
             distinguisher=self.accumulator.name,
         )
-
-    # ------------------------------------------------------------------ #
-    # internals                                                          #
-    # ------------------------------------------------------------------ #
-
-    def _evaluate(self, n: int) -> CheckpointRecord:
-        return evaluate_checkpoint(self.accumulator, self.true_key, n)
-
-    def _extends_streak(self, records: list[CheckpointRecord]) -> bool:
-        return extends_streak(records, self.true_key)
-
-    def _traces_to_rank1(
-        self, records: list[CheckpointRecord], streak: int
-    ) -> int | None:
-        return streak_start(records, self.true_key, streak)
 
 
 # ---------------------------------------------------------------------- #

@@ -420,22 +420,23 @@ class ExperimentEngine:
         Repetitions are independent streams, so ``workers > 1`` fans them
         over a process pool — the accumulator still folds the records in
         repetition order, making the curve identical to the serial run's.
-        Both run on one :class:`~repro.runtime.retry.ShardExecutor`: a
-        repetition that raises is retried (bit-identically, it is a pure
-        function of its seed), and an error or interrupt terminates the
-        pool's workers.  A repetition that fails every attempt raises
+        Every worker count runs through
+        :func:`~repro.runtime.parallel.run_shards`: a repetition that
+        raises is retried (bit-identically, it is a pure function of its
+        seed), and an error or interrupt terminates the pool's workers.
+        A repetition that fails every attempt raises
         :class:`~repro.runtime.retry.ShardFailure`, with its own error in
-        ``.cause``, at every worker count.  Each repetition builds its
-        own accumulator, so the ``distinguisher`` must be ``None``, a
-        registry name, or a ``DistinguisherSpec`` — not a live
-        accumulator.
+        ``.cause``.  Each repetition builds its own accumulator, so the
+        ``distinguisher`` must be ``None``, a registry name, or a
+        ``DistinguisherSpec`` — not a live accumulator.
         """
         from dataclasses import replace
 
         from repro.attacks.distinguishers import resolve_distinguisher
         from repro.attacks.key_rank import geometric_checkpoints
         from repro.evaluation.ge_curves import GuessingEntropyAccumulator
-        from repro.runtime.retry import ShardExecutor
+        from repro.runtime.parallel import run_shards
+        from repro.runtime.retry import RetryPolicy
 
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
@@ -455,25 +456,26 @@ class ExperimentEngine:
         )
         ge = accumulator if accumulator is not None \
             else GuessingEntropyAccumulator()
-        executor = ShardExecutor(workers)
-        try:
-            for rep in range(repetitions):
-                seed = spec.seed + rep
-                executor.submit(
-                    rep, _ge_repetition,
-                    self.platform_spec_for(replace(spec, seed=seed)), seed,
-                    segment_length, batch_size, ladder, aggregate,
-                    distinguisher_spec, max_traces,
-                )
-            for rep in range(repetitions):
-                if self.verbose:
-                    print(f"[engine] ge repetition {rep + 1}/{repetitions} "
-                          f"(seed {spec.seed + rep}) ...")
-                ge.update(executor.result(rep))
-        except BaseException:
-            executor.close(force=True)
-            raise
-        executor.close()
+        tasks = [
+            (_ge_repetition,
+             self.platform_spec_for(replace(spec, seed=spec.seed + rep)),
+             spec.seed + rep, segment_length, batch_size, ladder, aggregate,
+             distinguisher_spec, max_traces)
+            for rep in range(repetitions)
+        ]
+        start = ge.n_repetitions
+
+        def merge(records) -> None:
+            done = ge.update(records) - start
+            if self.verbose:
+                print(f"[engine] ge repetition {done}/{repetitions} "
+                      f"(seed {spec.seed + done - 1}) done")
+
+        _, failures, _, _ = run_shards(
+            tasks, [repetitions], merge, workers, RetryPolicy()
+        )
+        if failures:
+            raise failures[0]
         return ge
 
     def run_campaigns(

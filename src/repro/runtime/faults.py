@@ -4,8 +4,8 @@ A :class:`FaultPlan` names the shard indices of a campaign that should
 fail, and how.  It is a frozen, picklable value, so it crosses the
 process-pool boundary exactly like a
 :class:`~repro.runtime.parallel.ShardSpec` does; ``run_shard`` /
-``run_tvla_shard`` call :meth:`FaultPlan.maybe_fire` at their capture
-boundary and the plan decides — deterministically — whether this attempt
+``run_tvla_shard`` call :meth:`FaultPlan.maybe_fire` before every capture
+batch and the plan decides — deterministically — whether this attempt
 dies.  "Attempts so far" is tracked as marker files under ``state_dir``
 (one per firing), because a fault that kills its worker process cannot
 carry a counter back in memory: the retry runs in a *fresh* process and

@@ -8,9 +8,9 @@ every shard (``queued`` → ``capturing`` → ``retrying``* → ``done`` /
 leaves either the previous or the next journal — never a torn one.  The
 journal is *descriptive*, not authoritative: resume correctness comes
 from the per-shard :class:`~repro.campaign.store.TraceStore` manifests;
-the journal exists so ``repro campaign --status`` (and eventually the
-ROADMAP's campaign registry) can answer "where is this run?" without
-loading any trace data.
+the journal exists so ``repro campaign --status`` and ``repro tvla
+--status`` can answer "where is this run?" without loading any trace
+data.
 """
 
 from __future__ import annotations
@@ -25,17 +25,6 @@ __all__ = ["CampaignJournal"]
 
 _JOURNAL = "journal.json"
 _VERSION = 1
-
-#: Terminal campaign phases, for humans reading ``describe()`` output.
-_PHASES = (
-    "capturing",
-    "converged",
-    "exhausted",
-    "complete",
-    "partial",
-    "failed",
-    "interrupted",
-)
 
 
 class CampaignJournal:

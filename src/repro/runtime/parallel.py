@@ -36,6 +36,10 @@ source fast-forwards past the replayed prefix), so an interrupted-and-
 resumed parallel campaign accumulates exactly the traces an uninterrupted
 one would.
 
+:func:`run_shards` is the one dispatch loop of every fan-out in the
+package — the attack campaign here, the TVLA campaign
+(:class:`~repro.evaluation.tvla.TvlaCampaign`) and the guessing-entropy
+repetitions (:meth:`~repro.runtime.engine.ExperimentEngine.run_ge_curve`).
 Execution is fault tolerant (:mod:`repro.runtime.retry`): failed shards
 retry with exponential backoff and re-capture bit-identically (shard
 streams are pure functions of seed and index), broken pools are rebuilt
@@ -53,15 +57,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
-from repro.attacks.distinguishers import (
-    Distinguisher,
-    DistinguisherSpec,
-    resolve_distinguisher,
-)
+from repro.attacks.distinguishers import DistinguisherSpec, resolve_distinguisher
 from repro.attacks.key_rank import MIN_CPA_TRACES, geometric_checkpoints
 from repro.campaign import CorruptManifestError, TraceStore
 from repro.campaign.store import shard_store_dir
@@ -72,8 +72,10 @@ from repro.runtime.campaign import (
     CheckpointRecord,
     PlatformSegmentSource,
     SegmentSource,
+    capture_into,
     evaluate_checkpoint,
     extends_streak,
+    resume_store,
     streak_start,
 )
 from repro.runtime.journal import CampaignJournal
@@ -92,6 +94,7 @@ __all__ = [
     "shard_seed",
     "shard_aligned_checkpoints",
     "run_shard",
+    "run_shards",
     "open_store_root",
     "recover_shard_store",
 ]
@@ -268,9 +271,8 @@ class PlatformCampaignSpec:
             return self.key[: self.attack_bytes]
         return self.key
 
-    @property
-    def capture_mode(self) -> str:
-        return self.platform.capture_mode
+    def store_meta(self) -> dict:
+        return self.platform.store_meta()
 
     def build_source(self, seed) -> SegmentSource:
         source = PlatformSegmentSource(
@@ -355,12 +357,7 @@ class ShardedSegmentSource:
                 self._position == index * self.shard_size and boundary <= end
             )
             if not whole_shard:
-                source = self._enter_shard(index)
-                skip = getattr(source, "skip", None)
-                if skip is None:  # pragma: no cover - protocol fallback
-                    source.capture(take)
-                else:
-                    skip(take)
+                self._enter_shard(index).skip(take)
             self._position += take
 
 
@@ -374,7 +371,7 @@ class ShardResult:
     """What one shard worker ships back to the merging parent."""
 
     index: int
-    accumulator: Distinguisher
+    accumulator: Any            # the shard's mergeable accumulator
     replayed: int               # traces replayed from the shard's store
     capture_seconds: float
     quarantined: int = 0        # corrupt files quarantined before resume
@@ -392,41 +389,60 @@ def _quarantine_store_dir(store_dir: Path) -> Path:
 
 
 def recover_shard_store(store_root, index: int) -> tuple[Path, int]:
-    """Integrity-check shard ``index``'s store before it is resumed.
+    """Quarantine shard ``index``'s store if its manifest cannot be parsed.
 
-    Corrupt or orphaned payload files are quarantined (the manifest is
-    truncated to its intact prefix, so the shard re-captures exactly the
-    dropped tail); a manifest too damaged to parse quarantines the whole
-    directory and the shard re-captures from scratch.  Returns the shard's
-    store directory and the count of quarantined files.
+    Such a store cannot even be opened, so the whole directory moves
+    aside and the shard re-captures from scratch; a parseable store's
+    damaged tail is left to :func:`~repro.runtime.campaign.resume_store`.
+    Returns the shard's store directory and the count of quarantined
+    directories.
     """
     store_dir = shard_store_dir(store_root, index)
-    if not (store_dir / "manifest.json").exists():
-        return store_dir, 0
     try:
-        store = TraceStore.open(store_dir)
+        TraceStore.open(store_dir)
+    except FileNotFoundError:
+        pass
     except CorruptManifestError:
         _quarantine_store_dir(store_dir)
         return store_dir, 1
-    return store_dir, len(store.recover().quarantined)
+    return store_dir, 0
 
 
-def open_store_root(store_root, kind: str, meta: dict) -> CampaignJournal:
+def open_store_root(
+    store_root, kind: str, meta: dict, hint: str, key: bytes | None = None,
+    **wanted,
+) -> CampaignJournal:
     """Open (or start) a sharded campaign's store root and its journal.
 
-    Both sharded campaigns persist one trace store per shard under the
-    root, so a root holding one serial :class:`TraceStore` is refused
-    rather than silently recaptured next to.
+    Sharded campaigns persist one trace store per shard under the root,
+    so a root holding one serial :class:`TraceStore` is refused (``hint``
+    says what to do instead).  Every shard store already under the root
+    must fit ``key`` and ``wanted`` (see :meth:`TraceStore.require`); the
+    refusals come before the journal is opened, so a refused run leaves
+    the journal of the run that made the root untouched.
     """
     root = Path(store_root)
     if (root / "manifest.json").exists():
         raise IncompatibleArtifactError(
-            root, "layout", "serial TraceStore", "per-shard stores",
-            hint="resume it as a serial campaign (without --workers), or "
-                 "point the sharded campaign at a fresh directory",
+            root, "layout", "serial TraceStore", "per-shard stores", hint=hint
         )
+    for manifest in sorted(root.glob("shard-??????/manifest.json")):
+        try:
+            store = TraceStore.open(manifest.parent)
+        except CorruptManifestError:
+            continue            # its shard quarantines it
+        store.require(key=key, **wanted)
     root.mkdir(parents=True, exist_ok=True)
     return CampaignJournal.open_or_create(root, kind, meta=meta)
+
+
+def _shard_store_meta(spec: CampaignSourceSpec, campaign_seed: int) -> dict:
+    """The store fields every shard of one attack campaign shares."""
+    store_meta = getattr(spec, "store_meta", None)
+    return {
+        "campaign_seed": int(campaign_seed),
+        **(store_meta() if store_meta is not None else {}),
+    }
 
 
 def run_shard(
@@ -454,17 +470,17 @@ def run_shard(
     have captured.  A store longer than the shard (a previous run with a
     larger budget, or a larger shard size — per-index shard streams are
     prefixes of the same child-seed stream either way) replays only its
-    first ``shard.count`` traces.  A store captured as another shard, under
-    another campaign seed or in another capture mode is refused.
+    first ``shard.count`` traces.  A store captured as another shard,
+    under another campaign seed, or on another target (cipher, random
+    delay, countermeasures, capture mode) is refused.
 
     ``fault_plan`` (a :class:`~repro.runtime.faults.FaultPlan`) is the
-    chaos-test hook: it may kill, hang, or corrupt this shard at capture
-    boundaries.
+    chaos-test hook: it may kill, hang, or corrupt this shard before any
+    capture batch.
     """
     _, accumulator = resolve_distinguisher(distinguisher, aggregate=aggregate)
     store = None
-    replayed = 0
-    quarantined = 0
+    replayed = quarantined = 0
     if store_root is not None:
         store_dir, quarantined = recover_shard_store(store_root, shard.index)
         store = TraceStore.open_or_create(
@@ -472,38 +488,30 @@ def run_shard(
             n_samples=spec.n_samples,
             block_size=spec.block_size,
             key=spec.true_key,
-            meta={
-                "shard_index": shard.index,
-                "campaign_seed": shard.campaign_seed,
-                "capture_mode": getattr(spec, "capture_mode", "exact"),
-            },
+            meta={"shard_index": shard.index,
+                  **_shard_store_meta(spec, shard.campaign_seed)},
         )
-        # The store holds a prefix of this shard's seeded stream (possibly
-        # a longer one, if a previous run had a larger budget) — replay at
-        # most shard.count traces of it.
-        for traces, plaintexts in store.iter_chunks(batch_size):
-            room = shard.count - replayed
-            if room <= 0:
-                break
-            accumulator.update(traces[:room], plaintexts[:room])
-            replayed += min(int(traces.shape[0]), room)
+        replayed, recovered = resume_store(
+            store, accumulator.update, batch_size, limit=shard.count
+        )
+        quarantined += recovered
     capture_seconds = 0.0
-    done = replayed
-    if done < shard.count:
+    if replayed < shard.count:
+        # A fully replayed shard builds no source at all.
         source = spec.build_source(shard.seed_sequence)
         if replayed:
             source.skip(replayed)
-        while done < shard.count:
+
+        def before_batch() -> None:
             if fault_plan is not None:
-                fault_plan.maybe_fire(shard.index, done=done, store=store)
-            take = min(int(batch_size), shard.count - done)
-            begin = time.perf_counter()
-            traces, plaintexts = source.capture(take)
-            capture_seconds += time.perf_counter() - begin
-            if store is not None:
-                store.append(traces, plaintexts)
-            accumulator.update(traces, plaintexts)
-            done += take
+                fault_plan.maybe_fire(
+                    shard.index, done=accumulator.n_traces, store=store
+                )
+
+        capture_seconds = capture_into(
+            source, accumulator.update, shard.count - replayed, batch_size,
+            store, before_batch,
+        )
     return ShardResult(
         index=shard.index,
         accumulator=accumulator,
@@ -511,6 +519,76 @@ def run_shard(
         capture_seconds=capture_seconds,
         quarantined=quarantined,
     )
+
+
+# ---------------------------------------------------------------------- #
+# the dispatch loop                                                      #
+# ---------------------------------------------------------------------- #
+
+
+def run_shards(tasks, rungs, merge, workers: int, policy: RetryPolicy,
+               journal: CampaignJournal | None = None, checkpoint=None):
+    """Run shard tasks over one :class:`ShardExecutor`, merging in order.
+
+    ``tasks[i]`` is shard ``i``'s ``(fn, *args)``.  A rung is a task
+    count: for each of the ascending ``rungs`` the loop submits tasks up
+    to ``rung + workers - 1`` (capturing ahead keeps the pool saturated
+    and changes nothing but wall clock, since shard streams are
+    deterministic), feeds results ``0 .. rung - 1`` to ``merge(result)``
+    in index order, and asks ``checkpoint()`` whether to stop.  One rung
+    spanning every task submits them all up front.
+
+    The first :class:`ShardFailure` ends the run over the merged prefix.
+    Any other exception, ``KeyboardInterrupt`` included, terminates the
+    workers outright — no zombie keeps capturing after the parent
+    unwinds — and marks the ``journal`` interrupted.
+
+    Returns ``(merged, failures, stopped, retries)``: the count of merged
+    tasks, the failures (at most one), whether ``checkpoint`` stopped the
+    run, and the retries spent.  With a ``journal`` the tasks must return
+    :class:`ShardResult`, whose quarantines it records.
+    """
+    on_event = None
+    if journal is not None:
+        journal.begin(len(tasks))
+
+        def on_event(index: int, state: str, retries: int) -> None:
+            journal.update_shard(index, state)
+
+    executor = ShardExecutor(workers=workers, policy=policy, on_event=on_event)
+    merged = submitted = 0
+    failures: list[ShardFailure] = []
+    stopped = False
+    try:
+        for rung in rungs:
+            horizon = min(len(tasks), rung + workers - 1)
+            for index in range(submitted, horizon):
+                executor.submit(index, *tasks[index])
+            submitted = max(submitted, horizon)
+            while merged < rung:
+                try:
+                    result = executor.result(merged)
+                except ShardFailure as failure:
+                    failures.append(failure)
+                    break
+                merge(result)
+                if journal is not None and result.quarantined:
+                    journal.update_shard(merged, "done", quarantined=True)
+                merged += 1
+            if failures:
+                break
+            if checkpoint is not None and checkpoint():
+                stopped = True
+                break
+    except BaseException:
+        if journal is not None:
+            journal.set_phase("interrupted")
+        executor.close(force=True)
+        raise
+    # A graceful shutdown would block on an uncollected hung shard, so
+    # force when any shard failed (its siblings may share the fault).
+    executor.close(force=bool(failures))
+    return merged, failures, stopped, executor.total_retries
 
 
 # ---------------------------------------------------------------------- #
@@ -648,118 +726,69 @@ class ParallelCampaign:
                     "shard_size": self.shard_size,
                     "distinguisher": self.distinguisher_spec.name,
                 },
+                hint="resume it as a serial campaign (without --workers), "
+                     "or point the sharded campaign at a fresh directory",
+                key=self.spec.true_key,
+                **_shard_store_meta(self.spec, self.seed),
+                n_samples=self.spec.n_samples,
+                block_size=self.spec.block_size,
             )
         shards = plan_shards(self.seed, max_traces, self.shard_size)
-        if journal is not None:
-            journal.begin(len(shards))
-        ladder = self.checkpoints(max_traces)
+        tasks = [
+            (run_shard, self.spec, shard, self.store_root, self.aggregate,
+             self.batch_size, self.distinguisher_spec, self.fault_plan)
+            for shard in shards
+        ]
+        rungs = [-(-target // self.shard_size)
+                 for target in self.checkpoints(max_traces)]
         accumulator = self.accumulator = self.distinguisher_spec.build()
         records: list[CheckpointRecord] = []
         streak = 0
-        stopped = False
-        merged = 0                  # shards merged so far
-        n = 0                       # traces merged so far
         resumed = 0
-        quarantined = 0
         capture_seconds = 0.0
         attack_seconds = 0.0
-        failures: list[ShardFailure] = []
 
-        def on_event(index: int, state: str, retries: int) -> None:
-            if journal is not None:
-                journal.update_shard(index, state)
-            if verbose and state in ("retrying", "failed"):
+        def merge(result: ShardResult) -> None:
+            nonlocal resumed, capture_seconds, attack_seconds
+            begin = time.perf_counter()
+            accumulator.merge(result.accumulator)
+            attack_seconds += time.perf_counter() - begin
+            resumed += result.replayed
+            capture_seconds += result.capture_seconds
+
+        def checkpoint() -> bool:
+            nonlocal streak, attack_seconds
+            begin = time.perf_counter()
+            n = accumulator.n_traces
+            record = evaluate_checkpoint(accumulator, self.true_key, n)
+            records.append(record)
+            streak = streak + 1 if extends_streak(records, self.true_key) else 0
+            attack_seconds += time.perf_counter() - begin
+            if verbose:
+                rank = record.max_rank
                 print(
-                    f"[parallel x{self.workers}] shard {index} {state} "
-                    f"(retries {retries})"
+                    f"[parallel x{self.workers}] {n:>8d} traces: max rank "
+                    f"{rank if rank is not None else '?'}, "
+                    f"streak {streak}/{self.rank1_patience}"
                 )
+            return streak >= self.rank1_patience
 
-        executor = ShardExecutor(
-            workers=self.workers, policy=self.retry_policy, on_event=on_event
+        merged, failures, stopped, retries = run_shards(
+            tasks, rungs, merge, self.workers, self.retry_policy, journal,
+            checkpoint,
         )
-        submitted = 0
-        try:
-            for target in ladder:
-                needed = -(-target // self.shard_size)   # ceil
-                # Keep the pool saturated past the current rung: the
-                # early geometric rungs need fewer shards than there
-                # are workers, and shard streams are deterministic, so
-                # capturing ahead changes nothing but wall clock (at
-                # worst `workers - 1` shards are wasted on early stop).
-                horizon = min(len(shards), needed + self.workers - 1)
-                for shard in shards[submitted:horizon]:
-                    executor.submit(
-                        shard.index, run_shard, self.spec, shard,
-                        self.store_root, self.aggregate, self.batch_size,
-                        self.distinguisher_spec, self.fault_plan,
-                    )
-                submitted = max(submitted, horizon)
-                for shard in shards[merged:needed]:
-                    try:
-                        result = executor.result(shard.index)
-                    except ShardFailure as failure:
-                        failures.append(failure)
-                        break
-                    begin = time.perf_counter()
-                    accumulator.merge(result.accumulator)
-                    attack_seconds += time.perf_counter() - begin
-                    resumed += result.replayed
-                    quarantined += result.quarantined
-                    capture_seconds += result.capture_seconds
-                    merged += 1
-                    if journal is not None and result.quarantined:
-                        journal.update_shard(
-                            shard.index, "done", quarantined=True
-                        )
-                if failures:
-                    break
-                begin = time.perf_counter()
-                n = accumulator.n_traces
-                record = evaluate_checkpoint(accumulator, self.true_key, n)
-                records.append(record)
-                streak = streak + 1 if extends_streak(records, self.true_key) else 0
-                stopped = streak >= self.rank1_patience
-                attack_seconds += time.perf_counter() - begin
-                if verbose:
-                    rank = record.max_rank
-                    print(
-                        f"[parallel x{self.workers}] {n:>8d} traces "
-                        f"({merged} shards): max rank "
-                        f"{rank if rank is not None else '?'}, "
-                        f"streak {streak}/{self.rank1_patience}"
-                    )
-                if stopped:
-                    break
-        except BaseException:
-            # Interrupt / unexpected error: terminate workers outright so
-            # no zombie keeps capturing after the parent unwinds.
-            if journal is not None:
-                journal.set_phase("interrupted")
-            executor.close(force=True)
-            raise
-        # A graceful shutdown would block on an uncollected hung shard, so
-        # force when any shard failed (its siblings may share the fault).
-        executor.close(force=bool(failures))
         partial = bool(failures)
         if partial and merged == 0:
             if journal is not None:
                 journal.set_phase("failed")
             raise failures[0]
-        if partial:
+        n = accumulator.n_traces
+        if partial and n >= self._min_traces and (
+            not records or n > records[-1].n_traces
+        ):
             # Degrade gracefully: evaluate the merged prefix as the final
-            # checkpoint (when it is both large and new enough to rank).
-            n = accumulator.n_traces
-            if n >= self._min_traces and (
-                not records or n > records[-1].n_traces
-            ):
-                begin = time.perf_counter()
-                records.append(
-                    evaluate_checkpoint(accumulator, self.true_key, n)
-                )
-                streak = (
-                    streak + 1 if extends_streak(records, self.true_key) else 0
-                )
-                attack_seconds += time.perf_counter() - begin
+            # checkpoint.
+            checkpoint()
         if journal is not None:
             journal.set_phase(
                 "partial" if partial
@@ -783,6 +812,5 @@ class ParallelCampaign:
             distinguisher=accumulator.name,
             partial=partial,
             failed_shards=tuple(f.index for f in failures),
-            retries=executor.total_retries,
+            retries=retries,
         )
-

@@ -29,11 +29,12 @@ needs:
   report ``partial``) instead of aborting with a raw pool error.
 
 The executor is deliberately campaign-agnostic — it dispatches
-``(fn, *args)`` tasks keyed by shard index — so :class:`~repro.runtime
-.parallel.ParallelCampaign`, :class:`~repro.evaluation.parallel_tvla
-.ParallelTvlaCampaign` and the guessing-entropy repetitions of
-:meth:`~repro.runtime.engine.ExperimentEngine.run_ge_curve` share one
-fault-tolerance layer.
+``(fn, *args)`` tasks keyed by shard index.  Its one caller is
+:func:`~repro.runtime.parallel.run_shards`, the dispatch loop of the
+sharded attack campaign, the TVLA campaign and the guessing-entropy
+repetitions of
+:meth:`~repro.runtime.engine.ExperimentEngine.run_ge_curve`, so every
+fan-out shares one fault-tolerance layer.
 """
 
 from __future__ import annotations

@@ -150,6 +150,19 @@ class PlatformSpec:
             )
         return spec
 
+    def store_meta(self) -> dict:
+        """The target fields every trace store records.
+
+        A store captured on another cipher, random delay, countermeasure
+        stack or capture mode is refused on resume by these fields.
+        """
+        return {
+            "cipher": self.cipher_name,
+            "rd": self.max_delay,
+            "countermeasure": self.build(0).countermeasure_name,
+            "capture_mode": self.capture_mode,
+        }
+
     def build(self, seed) -> "SimulatedPlatform":
         """Construct the platform; ``seed`` may be an int or SeedSequence."""
         oscilloscope = (

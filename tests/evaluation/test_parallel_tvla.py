@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign import TraceStore
 from repro.evaluation import (
     ParallelTvlaCampaign,
     TvlaCampaign,
@@ -118,10 +119,7 @@ class TestDurability:
 
     def test_serial_store_root_is_refused(self, tmp_path):
         serial_dir = tmp_path / "serial"
-        TvlaCampaign(
-            _spec(), seed=9, segment_length=160, batch_size=8,
-            store_dir=serial_dir,
-        ).run(4)
+        TraceStore.create(serial_dir, n_samples=160)
         with pytest.raises(ValueError, match="serial TraceStore"):
             _campaign(workers=1, store_root=serial_dir).run(4)
 

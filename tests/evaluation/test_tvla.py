@@ -138,12 +138,12 @@ class TestTvlaCampaign:
         want = straight.run(24)
 
         interrupted = TvlaCampaign(
-            _spec(), store_dir=tmp_path / "tvla", **kwargs)
+            _spec(), store_root=tmp_path / "tvla", **kwargs)
         interrupted.run(10)
         resumed = TvlaCampaign(
-            _spec(), store_dir=tmp_path / "tvla", **kwargs)
-        assert resumed.resumed_from > 0
+            _spec(), store_root=tmp_path / "tvla", **kwargs)
         got = resumed.run(24)
+        assert resumed.resumed_from > 0
 
         assert got.n_fixed == want.n_fixed == 24
         assert got.n_random == want.n_random == 24
@@ -152,10 +152,10 @@ class TestTvlaCampaign:
     def test_fixed_population_uses_the_fixed_vector(self, tmp_path):
         campaign = TvlaCampaign(
             _spec(), seed=1, segment_length=96, batch_size=4,
-            store_dir=tmp_path / "tvla",
+            store_root=tmp_path / "tvla",
         )
         campaign.run(8)
-        store = TraceStore.open(tmp_path / "tvla")
+        store = TraceStore.open(tmp_path / "tvla" / "shard-000000")
         fixed_row = np.frombuffer(
             DEFAULT_FIXED_PLAINTEXT, dtype=np.uint8)
         plaintexts = np.concatenate(
@@ -167,28 +167,29 @@ class TestTvlaCampaign:
     def test_cross_countermeasure_store_refused(self, tmp_path):
         kwargs = dict(seed=2, segment_length=96, batch_size=4)
         TvlaCampaign(
-            _spec(), store_dir=tmp_path / "tvla", **kwargs).run(4)
+            _spec(), store_root=tmp_path / "tvla", **kwargs).run(4)
         with pytest.raises(ValueError, match="countermeasure"):
             TvlaCampaign(
-                _spec(shuffle=True), store_dir=tmp_path / "tvla", **kwargs)
+                _spec(shuffle=True), store_root=tmp_path / "tvla",
+                **kwargs).run(4)
 
     def test_cross_capture_mode_store_refused(self, tmp_path):
         kwargs = dict(seed=2, segment_length=96, batch_size=4)
         TvlaCampaign(
-            _spec(), store_dir=tmp_path / "tvla", **kwargs).run(4)
+            _spec(), store_root=tmp_path / "tvla", **kwargs).run(4)
         with pytest.raises(ValueError, match="mode"):
             TvlaCampaign(
                 _spec(capture_mode="fast"),
-                store_dir=tmp_path / "tvla", **kwargs)
+                store_root=tmp_path / "tvla", **kwargs).run(4)
 
     def test_different_fixed_plaintext_refused(self, tmp_path):
         kwargs = dict(seed=2, segment_length=96, batch_size=4)
         TvlaCampaign(
-            _spec(), store_dir=tmp_path / "tvla", **kwargs).run(4)
+            _spec(), store_root=tmp_path / "tvla", **kwargs).run(4)
         with pytest.raises(ValueError, match="plaintext"):
             TvlaCampaign(
                 _spec(), fixed_plaintext=bytes(16),
-                store_dir=tmp_path / "tvla", **kwargs)
+                store_root=tmp_path / "tvla", **kwargs).run(4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -290,19 +290,20 @@ class TestCliTvlaParallel:
         assert "--shard-size" in capsys.readouterr().err
 
     def test_parallel_refuses_a_serial_store(self, tmp_path, capsys):
+        from repro.campaign import TraceStore
+
         store = str(tmp_path / "serial")
+        TraceStore.create(store, n_samples=160)
         argv = ["tvla", "--traces", "4", "--segment-length", "160",
                 "--batch-size", "4", "--store", store]
-        assert main(argv) in (0, 1)
-        capsys.readouterr()
         assert main(argv + ["--workers", "1"]) == 2
         assert "serial TraceStore" in capsys.readouterr().err
 
-    def test_serial_refuses_a_shard_store_root(self, tmp_path, capsys):
+    def test_tvla_without_workers_resumes_a_pooled_root(self, tmp_path, capsys):
         store = str(tmp_path / "shards")
         argv = ["tvla", "--traces", "4", "--segment-length", "160",
                 "--batch-size", "4", "--store", store]
-        assert main(argv + ["--workers", "1", "--shard-size", "4"]) in (0, 1)
+        assert main(argv + ["--workers", "2", "--shard-size", "4"]) in (0, 1)
         capsys.readouterr()
-        assert main(argv) == 2
-        assert "--workers" in capsys.readouterr().err
+        assert main(argv) in (0, 1)
+        assert "resumed 8 traces" in capsys.readouterr().out

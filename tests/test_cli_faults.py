@@ -147,3 +147,73 @@ class TestBadInputs:
             assert not (path / "manifest.json").exists()
         if setup is _rd0_locator:
             assert "--rd 0" in err
+
+
+_SHARDED = ["campaign", "--rd", "0", "--segment-length", "400",
+            "--workers", "1", "--shard-size", "256", "--capture-mode", "fast"]
+_TVLA_ROOT = ["tvla", "--traces", "8", "--segment-length", "160",
+              "--batch-size", "8", "--workers", "1", "--shard-size", "8"]
+
+
+class TestShardRootTarget:
+    """A sharded store root made for another target is refused up front."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--cipher", "camellia"), ("--rd", "2"),
+    ])
+    def test_sharded_campaign_refuses_another_target(
+        self, tmp_path, capsys, flag, value
+    ):
+        store = str(tmp_path / "root")
+        assert main(_SHARDED + ["--traces", "300", "--store", store]) in (0, 1)
+        capsys.readouterr()
+        code = main(_SHARDED + ["--traces", "600", flag, value,
+                                "--store", store])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert f"records {flag[2:]} " in err
+        assert f"(it was made with {flag} " in err
+
+    @pytest.mark.parametrize("first,refused", [
+        (_SHARDED + ["--traces", "300"],
+         ["--cipher", "camellia", "--traces", "600"]),
+        (_TVLA_ROOT, ["--countermeasure", "shuffle"]),
+    ], ids=["campaign", "tvla"])
+    def test_refused_resume_leaves_the_journal_untouched(
+        self, tmp_path, capsys, first, refused
+    ):
+        store = tmp_path / "root"
+        assert main(first + ["--store", str(store)]) in (0, 1)
+        journal = (store / "journal.json").read_bytes()
+        assert main(first + refused + ["--store", str(store)]) == 2
+        assert (store / "journal.json").read_bytes() == journal
+
+
+class TestUnreadableArchives:
+    """An ``.npz`` numpy cannot read exits 2 with one line, not a traceback."""
+
+    def test_locate_with_a_junk_model(self, tmp_path, capsys):
+        model = tmp_path / "bad.npz"
+        model.write_text("junk\n")
+        code = main(["locate", "--rd", "0", "--scale", "0.004", "--cos", "2",
+                     "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "bad.npz" in err
+
+    def test_campaign_with_a_truncated_profile(self, tmp_path, capsys):
+        profile = tmp_path / "prof"
+        assert main(["profile", "--rd", "0", "--traces", "600", "--pois", "2",
+                     "--capture-mode", "fast", "--output", str(profile)]) == 0
+        payload = profile / "templates.npz"
+        payload.write_bytes(payload.read_bytes()[: payload.stat().st_size // 2])
+        capsys.readouterr()
+        code = main(["campaign", "--rd", "0", "--traces", "64",
+                     "--capture-mode", "fast", "--distinguisher", "template",
+                     "--profile", str(profile)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert "templates.npz" in err

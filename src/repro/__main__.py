@@ -201,14 +201,6 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         help="report the campaign journal under --store and exit")
 
 
-def _add_capture_mode_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--capture-mode", default="exact", choices=("exact", "fast"),
-        help="capture randomness path: 'exact' is bit-identical to the "
-             "scalar reference, 'fast' draws batch randomness in bulk "
-             "(statistically identical stream, much faster capture)")
-
-
 def _add_countermeasure_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--countermeasure", default="none",
@@ -237,7 +229,12 @@ def _add_target_options(
                         help="traces per capture batch")
     parser.add_argument("--noise-std", type=float, default=1.0,
                         help="oscilloscope acquisition noise")
-    _add_capture_mode_option(parser)
+    parser.add_argument(
+        "--capture-mode", default="exact", choices=("exact", "fast"),
+        help="attack-segment capture: 'exact' is bit-identical to the "
+             "scalar reference, 'fast' synthesises only the segment window "
+             "from bulk draws (statistically identical stream, much faster "
+             "capture); full traces are the same in both modes")
     _add_countermeasure_options(parser)
 
 
@@ -247,7 +244,8 @@ def _resolve_countermeasures(
     """Validate the countermeasure options against the other target options.
 
     Returns ``(shuffle, jitter)``; an unknown name, a masking order on an
-    unmasked cipher, or jitter under fast capture is a usage error.
+    unmasked cipher, or shuffling on a cipher without shuffle groups is a
+    usage error.
     """
     ciphers = list(ciphers) if ciphers is not None else [args.cipher]
     shuffle, jitter = _parse_countermeasures(args.countermeasure)
@@ -261,9 +259,6 @@ def _resolve_countermeasures(
         raise UsageError(f"--countermeasure shuffle is only wired for cipher "
                          f"aes ({', '.join(unshuffleable)} declares no "
                          f"shuffle groups)")
-    if jitter and args.capture_mode == "fast":
-        raise UsageError("--countermeasure jitter resamples whole traces and "
-                         "is not supported with --capture-mode fast")
     return shuffle, jitter
 
 
@@ -274,6 +269,9 @@ def _platform_spec(args: argparse.Namespace):
     if args.batch_size < 1:
         raise UsageError("--batch-size must be >= 1")
     shuffle, jitter = _resolve_countermeasures(args)
+    if jitter and args.capture_mode == "fast":
+        raise UsageError("--countermeasure jitter resamples whole traces and "
+                         "is not supported with --capture-mode fast")
     return PlatformSpec(
         cipher_name=args.cipher, max_delay=args.rd, noise_std=args.noise_std,
         capture_mode=args.capture_mode, shuffle=shuffle, jitter=jitter,
@@ -426,7 +424,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         method=args.engine,
         verbose=True,
-        capture_mode=args.capture_mode,
     )
     results = engine.run(plan, with_cpa=args.cpa, aggregate=args.aggregate,
                          distinguisher=distinguisher)
@@ -793,7 +790,6 @@ def _parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cpa", action="store_true",
                          help="also mount the key-recovery attack per scenario")
     p_bench.add_argument("--aggregate", type=int, default=64)
-    _add_capture_mode_option(p_bench)
     _add_countermeasure_options(p_bench)
     _add_distinguisher_options(p_bench, windows=False)
     p_bench.add_argument("--seed", type=int, default=0)

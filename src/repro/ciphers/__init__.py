@@ -30,7 +30,6 @@ Fidelity notes
 from repro.ciphers.base import (
     BatchLeakageRecorder,
     LeakageRecorder,
-    NullRecorder,
     TraceableCipher,
 )
 from repro.ciphers.aes import AES128
@@ -43,7 +42,6 @@ from repro.ciphers.registry import available_ciphers, get_cipher
 __all__ = [
     "BatchLeakageRecorder",
     "LeakageRecorder",
-    "NullRecorder",
     "TraceableCipher",
     "AES128",
     "MaskedAES128",

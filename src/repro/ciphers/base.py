@@ -38,7 +38,6 @@ __all__ = [
     "OpKind",
     "LeakageRecorder",
     "BatchLeakageRecorder",
-    "NullRecorder",
     "TraceableCipher",
     "be_words",
     "word_bytes",
@@ -289,27 +288,6 @@ class BatchLeakageRecorder:
         ))
         self._length += int(count)
 
-    def extend_stacked(self, values: np.ndarray, widths: np.ndarray,
-                       kinds: np.ndarray) -> None:
-        """Append pre-stacked ``(B, k)`` values with explicit per-op structure.
-
-        Used by the loop-fallback :meth:`TraceableCipher.encrypt_batch` to
-        splice ``B`` individually recorded streams into the batch.
-        """
-        values = np.asarray(values, dtype=np.uint64)
-        widths = np.asarray(widths, dtype=np.uint8)
-        kinds = np.asarray(kinds, dtype=np.uint8)
-        if values.ndim != 2 or values.shape[0] != self.batch_size:
-            raise ValueError(
-                f"expected ({self.batch_size}, k) values, got {values.shape}"
-            )
-        if widths.shape != (values.shape[1],) or kinds.shape != (values.shape[1],):
-            raise ValueError("widths/kinds must be (k,) matching the value block")
-        if values.shape[1] == 0:
-            return
-        self._chunks.append((values, widths, kinds))
-        self._length += int(values.shape[1])
-
     # -- inspection ------------------------------------------------------ #
 
     def __len__(self) -> int:
@@ -335,25 +313,6 @@ class BatchLeakageRecorder:
         """Drop all recorded operations."""
         self._chunks.clear()
         self._length = 0
-
-
-class NullRecorder:
-    """A recorder that discards everything (for un-traced encryption)."""
-
-    __slots__ = ()
-
-    def record(self, value: int, width: int = 8, kind: int = OpKind.ALU) -> None:
-        pass
-
-    def record_many(self, values: IntArrayLike, width: int = 8,
-                    kind: int = OpKind.ALU) -> None:
-        pass
-
-    def record_nops(self, count: int) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 def _as_block_matrix(data, block_size: int, what: str) -> np.ndarray:
@@ -391,11 +350,12 @@ class TraceableCipher(abc.ABC):
     recorder.  Passing ``recorder=None`` encrypts without instrumentation
     overhead.
 
-    :meth:`encrypt_batch` encrypts ``B`` blocks at once, reporting to a
-    :class:`BatchLeakageRecorder`.  AES and masked AES override it with
-    fully vectorized numpy implementations; the default here loops over the
-    scalar :meth:`encrypt` with identical semantics (same ciphertexts, same
-    per-trace operation streams), so every cipher supports the batch API.
+    Concrete ciphers also implement :meth:`encrypt_batch`, which encrypts
+    ``B`` blocks at once with vectorized numpy operations, reporting to a
+    :class:`BatchLeakageRecorder`, with the semantics of the scalar
+    :meth:`encrypt` (same ciphertexts, same per-trace operation streams).
+    Every registered cipher vectorizes it; the scalar :meth:`encrypt` is
+    the reference the test suite compares it against.
     """
 
     #: Human-readable cipher name, used by the registry and configs.
@@ -437,6 +397,7 @@ class TraceableCipher(abc.ABC):
 
     # -- batch interface ------------------------------------------------- #
 
+    @abc.abstractmethod
     def encrypt_batch(self, plaintexts, keys,
                       recorder: BatchLeakageRecorder | None = None) -> np.ndarray:
         """Encrypt a batch of blocks; returns ``(B, block_size)`` ciphertexts.
@@ -446,42 +407,7 @@ class TraceableCipher(abc.ABC):
         the batch.  Semantics are bit-identical to calling :meth:`encrypt`
         per block: same ciphertexts, and the recorder receives the same
         per-trace operation stream.
-
-        This default implementation loops over the scalar path and stacks
-        the recorded streams (requiring, and verifying, the cipher's
-        input-independent instruction structure).  Vectorized ciphers
-        override it.
         """
-        pts, kys = self._check_batch(plaintexts, keys)
-        batch = pts.shape[0]
-        cts = np.empty_like(pts)
-        if recorder is None:
-            for b in range(batch):
-                cts[b] = np.frombuffer(
-                    self.encrypt(pts[b].tobytes(), kys[b].tobytes()), dtype=np.uint8
-                )
-            return cts
-        if recorder.batch_size != batch:
-            raise ValueError(
-                f"recorder batch size {recorder.batch_size} != batch {batch}"
-            )
-        streams = []
-        for b in range(batch):
-            rec = LeakageRecorder()
-            ct = self.encrypt(pts[b].tobytes(), kys[b].tobytes(), rec)
-            cts[b] = np.frombuffer(ct, dtype=np.uint8)
-            streams.append(rec.as_arrays())
-        widths, kinds = streams[0][1], streams[0][2]
-        for _, w, k in streams[1:]:
-            if not (np.array_equal(w, widths) and np.array_equal(k, kinds)):
-                raise RuntimeError(
-                    f"{self.name} recorded input-dependent op structure; "
-                    "the batch recorder requires a constant instruction sequence"
-                )
-        recorder.extend_stacked(
-            np.stack([s[0] for s in streams]), widths, kinds
-        )
-        return cts
 
     def _check_batch(self, plaintexts, keys) -> tuple[np.ndarray, np.ndarray]:
         """Validate and broadcast batch inputs to (B, size) uint8 matrices."""

@@ -12,10 +12,11 @@ Two scoring engines with identical semantics are provided:
   pooling is translation-equivariant: run the convolutional trunk *once*
   over the whole trace (in bounded-memory chunks), then evaluate each
   window's global average with a prefix sum and push only the pooled
-  32-vector through the fully-connected head.  This is tens of times
-  faster and differs from ``windowed`` only at window borders (full-trace
-  context instead of per-window zero padding); the test suite bounds the
-  difference and the segmentation results agree.
+  32-vector through the fully-connected head.  This is about twice as
+  fast (1.5 vs 3.0 s on a 62,000-sample trace, 2 vCPUs) and differs from
+  ``windowed`` only at window borders (full-trace context instead of
+  per-window zero padding); the test suite bounds the difference and the
+  segmentation results agree.
 """
 
 from __future__ import annotations

@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.config import PipelineConfig, default_config
 from repro.core.locator import CryptoLocator
-from repro.evaluation.experiments import (
-    default_tolerance,
-    run_cpa_scenario,
-    train_locator,
-)
+from repro.evaluation.experiments import default_tolerance, run_cpa_scenario
 from repro.evaluation.hits import HitStats, match_hits
 from repro.soc.platform import SessionTrace, SimulatedPlatform
 from repro.campaign import TraceStore
@@ -118,19 +114,20 @@ class ExperimentEngine:
     locator_provider:
         Optional ``(cipher, max_delay, noise_std) -> CryptoLocator``
         override.  Benchmarks inject their session-wide locator cache here;
-        by default the engine trains with
-        :func:`repro.evaluation.experiments.train_locator` and caches per
-        condition.
+        by default the engine fits a locator on a clone platform seeded
+        with the engine seed and caches it per condition.
     method:
         Sliding-window engine for location: ``"windowed"`` (training
         faithful, default) or ``"dense"`` (fast batched trunk).
-    train_noise_ops, config_overrides:
-        Training knobs forwarded to the default provider.
+    config_overrides:
+        Per-cipher pipeline configurations for the default provider.
     capture_mode:
-        Capture path for every platform the engine builds: ``"exact"``
-        (bit-identical to the scalar reference, default) or ``"fast"``
-        (bulk randomness — see
-        :class:`~repro.soc.platform.SimulatedPlatform`).
+        Capture mode of every platform the engine builds: ``"exact"``
+        (default) or ``"fast"``, which synthesises the attack segments of
+        campaigns and guessing-entropy runs window-only from bulk draws
+        (see :class:`~repro.soc.platform.SimulatedPlatform`).  Locator
+        training and sessions capture full traces, which are the same in
+        both modes.
     """
 
     def __init__(
@@ -139,7 +136,6 @@ class ExperimentEngine:
         seed: int = 0,
         locator_provider=None,
         method: str = "windowed",
-        train_noise_ops: int = 60_000,
         config_overrides: "dict[str, PipelineConfig] | None" = None,
         verbose: bool = False,
         capture_mode: str = "exact",
@@ -147,7 +143,6 @@ class ExperimentEngine:
         self.dataset_scale = float(dataset_scale)
         self.seed = int(seed)
         self.method = method
-        self.train_noise_ops = int(train_noise_ops)
         self.config_overrides = dict(config_overrides or {})
         self.verbose = verbose
         self.capture_mode = capture_mode
@@ -185,20 +180,13 @@ class ExperimentEngine:
         if self.verbose:
             print(f"[engine] training {cipher} RD-{max_delay} "
                   f"sigma={noise_std:g} locator ...")
-        if noise_std == 1.0:
-            locator, _ = train_locator(
-                cipher, max_delay=max_delay, seed=self.seed, config=config,
-                noise_ops=self.train_noise_ops, batch_size=batch_size,
-            )
-            return locator
         clone = self.platform_for(
             ScenarioSpec(cipher=cipher, max_delay=max_delay,
                          noise_std=noise_std, seed=self.seed),
             clone=True,
         )
         locator = CryptoLocator(config, seed=self.seed + 1)
-        locator.fit_from_platform(clone, noise_ops=self.train_noise_ops,
-                                  batch_size=batch_size)
+        locator.fit_from_platform(clone, batch_size=batch_size)
         return locator
 
     # ------------------------------------------------------------------ #
@@ -376,7 +364,8 @@ class ExperimentEngine:
                 n_samples=source.n_samples,
                 block_size=source.block_size,
                 key=source.true_key,
-                meta={"scenario": spec.describe(), "seed": spec.seed},
+                meta={"scenario": spec.describe(), "seed": spec.seed,
+                      **self.platform_spec_for(spec).store_meta()},
             )
         campaign = AttackCampaign(
             source,
@@ -442,6 +431,9 @@ class ExperimentEngine:
             raise ValueError("repetitions must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        # A configuration the platform refuses (jitter under fast capture)
+        # fails here once, not in every repetition through the retries.
+        self.platform_for(spec)
         distinguisher_spec, _ = resolve_distinguisher(
             distinguisher, aggregate=aggregate
         )

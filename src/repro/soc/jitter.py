@@ -12,18 +12,18 @@ recovers, and first-order leakage (smeared, not masked) stays
 TVLA-detectable.
 
 As with random delay and shuffling, the TRNG decisions live in a *plan*
-(:class:`JitterPlan`) separated from execution, so the exact capture mode
-draws one plan per trace in the scalar order while batched paths may
-bulk-draw.  The jitter resamples the *captured* trace (a sample-and-hold
-ADC view: a doubled sample repeats its quantised value), composing with
-any upstream countermeasure; ground-truth markers are mapped through the
-plan's cumulative repeat counts.
+(:class:`JitterPlan`) separated from execution; every capture draws one
+plan per trace in the scalar order (jitter resamples whole traces, so
+the windowed fast capture mode refuses it).  The jitter resamples the
+*captured* trace (a sample-and-hold ADC view: a doubled sample repeats
+its quantised value), composing with any upstream countermeasure;
+ground-truth markers are mapped through the plan's cumulative repeat
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -92,19 +92,6 @@ class ClockJitterCountermeasure:
         return JitterPlan(repeats=self._repeats(
             self.trng.uniform_ints(0, 199, n_samples)
         ))
-
-    def plan_batch(self, lengths: Sequence[int]) -> list[JitterPlan]:
-        """Draw one plan per trace from a single bulk TRNG request."""
-        lengths = [int(n) for n in lengths]
-        if any(n < 0 for n in lengths):
-            raise ValueError("lengths must be non-negative")
-        draws = self.trng.uniform_ints(0, 199, int(sum(lengths)))
-        repeats = self._repeats(draws)
-        bounds = np.concatenate(([0], np.cumsum(lengths)))
-        return [
-            JitterPlan(repeats=repeats[bounds[i]: bounds[i + 1]])
-            for i in range(len(lengths))
-        ]
 
     def _repeats(self, draws: np.ndarray) -> np.ndarray:
         s = self.strength

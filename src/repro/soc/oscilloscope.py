@@ -106,33 +106,23 @@ class Oscilloscope:
         powers: "list[np.ndarray]",
         rng: np.random.Generator,
         noise: "list[np.ndarray | None] | None" = None,
-        bulk_noise: bool = False,
     ) -> "list[np.ndarray]":
         """Capture a batch of power sequences (possibly ragged lengths).
 
-        By default bit-identical to calling :meth:`capture` on each
-        sequence in order with the same generator: pulse shaping and
-        quantisation run vectorized over the concatenated batch, the
-        band-limiting filter is applied per trace (its edge padding is a
-        per-trace boundary condition), and acquisition noise is consumed
-        per trace in batch order.  ``noise`` optionally supplies pre-drawn
+        Bit-identical to calling :meth:`capture` on each sequence in
+        order with the same generator: pulse shaping and quantisation
+        run vectorized over the concatenated batch, the band-limiting
+        filter is applied per trace (its edge padding is a per-trace
+        boundary condition), and acquisition noise is consumed per trace
+        in batch order.  ``noise`` optionally supplies pre-drawn
         per-trace noise (the platform uses this to keep its generator
         consumption order exactly equal to the scalar capture loop);
         entries may be ``None`` to draw from ``rng`` instead.
-
-        ``bulk_noise=True`` is the fast capture mode: one float32
-        ``standard_normal`` draw over the whole concatenated batch replaces
-        the per-trace float64 draws.  The noise stream differs from the
-        scalar path's (different generator consumption, float32 mantissa)
-        but is statistically identical well below the ADC's quantisation
-        step; ``noise`` must be ``None`` in this mode.
         """
         powers = [np.asarray(p, dtype=np.float64) for p in powers]
         for p in powers:
             if p.ndim != 1:
                 raise ValueError(f"expected 1D power sequences, got shape {p.shape}")
-        if bulk_noise and noise is not None:
-            raise ValueError("bulk_noise draws its own noise; noise must be None")
         if noise is not None and len(noise) != len(powers):
             raise ValueError("noise list must match the batch length")
         if not powers:
@@ -145,24 +135,19 @@ class Oscilloscope:
             np.multiply(flat_power, self._pulse[s], out=analog[s::spp])
         analog = self._bandlimit_batch(analog, lengths)
         if self.noise_std > 0:
-            if bulk_noise:
-                analog += self.noise_std * rng.standard_normal(
-                    analog.size, dtype=np.float32
-                )
-            else:
-                offset = 0
-                for index, length in enumerate(lengths):
-                    if length == 0:
-                        continue  # scalar capture returns early, drawing nothing
-                    drawn = noise[index] if noise is not None and noise[index] is not None \
-                        else rng.normal(0.0, self.noise_std, length)
-                    if drawn.size != length:
-                        raise ValueError(
-                            f"pre-drawn noise for trace {index} has {drawn.size} "
-                            f"samples, expected {length}"
-                        )
-                    analog[offset: offset + length] += drawn
-                    offset += length
+            offset = 0
+            for index, length in enumerate(lengths):
+                if length == 0:
+                    continue  # scalar capture returns early, drawing nothing
+                drawn = noise[index] if noise is not None and noise[index] is not None \
+                    else rng.normal(0.0, self.noise_std, length)
+                if drawn.size != length:
+                    raise ValueError(
+                        f"pre-drawn noise for trace {index} has {drawn.size} "
+                        f"samples, expected {length}"
+                    )
+                analog[offset: offset + length] += drawn
+                offset += length
         quantized = self._quantize(analog)
         splits = np.cumsum(lengths)[:-1]
         return [np.ascontiguousarray(t) for t in np.split(quantized, splits)]

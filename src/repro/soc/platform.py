@@ -19,26 +19,30 @@ The random-delay countermeasure is active in every capture.
 
 Batched capture
 ---------------
-Both multi-trace capture paths are batch-first: the cipher executions go
+Every multi-trace capture is batch-first: the cipher executions go
 through the vectorized ``encrypt_batch`` and one batched synthesis call.
-In the default ``exact`` capture mode every random draw (keys,
-plaintexts, masks, delay plans, acquisition noise) is consumed in exactly
-the order the scalar loop consumes it, so the batched captures are
-**bit-identical** to the scalar reference path (``batched=False``) for
-the same seed — only faster.  The test suite enforces the equivalence.
+Outside fast-mode attack segments (below), every random draw (keys,
+plaintexts, masks, delay plans, acquisition noise) is consumed in
+exactly the order the scalar loop consumes it, so the batched captures
+are **bit-identical** to the scalar reference path (``batched=False``)
+for the same seed — only faster.  The test suite enforces the
+equivalence.
 
-The ``fast`` capture mode trades that bit-identity for bulk randomness:
-keys/plaintexts, delay plans and acquisition noise are drawn in one
-generator request per batch (noise as float32), and attack-segment
-captures synthesise only the segment window instead of the whole trace —
+The ``fast`` capture mode changes one thing: attack segments
+(:meth:`SimulatedPlatform.capture_attack_segments`), the window a
+triggered scope records.  It synthesises only that window instead of the
+whole trace, from bulk draws: plaintexts, delay plans and acquisition
+noise come in one generator request per batch (noise as float32), and
 under RD-2/RD-4 each trace's shifted window position is read off its
-pre-drawn delay plan.  The stream is statistically indistinguishable from the
-exact one (same distributions, same attack budgets) and reproducible for
-a fixed seed *and* capture chunking, but it is a *different* stream — and
-because bulk draws interleave per batch, changing ``batch_size`` (or
-resuming a store mid-batch) re-deals the randomness where exact mode
-would not.  That is why ``exact`` stays the default and stores record the
-mode they were captured with.
+pre-drawn delay plan.  The segment stream is statistically
+indistinguishable from the exact one (same distributions, same attack
+budgets) and reproducible for a fixed seed *and* capture chunking, but
+it is a *different* stream — and because bulk draws interleave per
+batch, changing ``batch_size`` (or resuming a store mid-batch) re-deals
+the randomness where exact mode would not.  That is why ``exact`` stays
+the default and stores record the mode they were captured with.  Full
+traces (profiling captures, sessions, noise) take the per-trace-draw
+path in both modes, so they are the same stream in both.
 """
 
 from __future__ import annotations
@@ -195,15 +199,15 @@ class SimulatedPlatform:
     seed:
         Master seed; every stochastic component (TRNG, mask randomness,
         acquisition noise, workload data) derives from it.
-    leakage, oscilloscope:
-        Measurement-chain overrides; sensible defaults otherwise.
+    oscilloscope:
+        Measurement-chain override; the default scope otherwise.
     capture_mode:
         ``"exact"`` (default) keeps every multi-trace capture
         bit-identical to the scalar per-trace reference path;
-        ``"fast"`` draws the batch randomness in bulk (and synthesises
-        only the — possibly delay-shifted — segment window for attack
-        captures) — a statistically identical but different, still
-        seed-deterministic stream.
+        ``"fast"`` synthesises attack segments window-only from bulk
+        draws — a statistically identical but different, still
+        seed-deterministic segment stream.  Full traces are the same in
+        both modes.
     """
 
     def __init__(
@@ -211,7 +215,6 @@ class SimulatedPlatform:
         cipher_name: str,
         max_delay: int = 4,
         seed: int | None = 0,
-        leakage: HammingWeightLeakage | None = None,
         oscilloscope: Oscilloscope | None = None,
         capture_mode: str = "exact",
         shuffle: bool = False,
@@ -266,7 +269,7 @@ class SimulatedPlatform:
             self.jitter = ClockJitterCountermeasure(
                 jitter, TrngModel(int(self._rng.integers(0, 2**63)))
             )
-        self.leakage = leakage if leakage is not None else HammingWeightLeakage()
+        self.leakage = HammingWeightLeakage()
         self.oscilloscope = oscilloscope if oscilloscope is not None else Oscilloscope()
         #: Datapath op count of one NOP-prologue + CO execution, keyed by
         #: prologue length.  The instruction structure is input-independent,
@@ -368,18 +371,11 @@ class SimulatedPlatform:
     ) -> list[CipherTrace]:
         """One batched profiling capture of ``count`` traces.
 
-        ``exact`` mode: phase 1 draws each trace's randomness in the
-        scalar order (key, plaintext, delay plan, acquisition noise —
-        trace by trace); phase 2 runs the vectorized cipher batch; phase 3
-        synthesises all traces through one batched measurement-chain call.
-        ``fast`` mode replaces phase 1 with bulk draws: one generator
-        request for all keys/plaintexts and one per-batch TRNG/noise
-        request inside the synthesis call.
+        Phase 1 draws each trace's randomness in the scalar order (key,
+        plaintext, delay plan, acquisition noise — trace by trace); phase
+        2 runs the vectorized cipher batch; phase 3 synthesises all traces
+        through one batched measurement-chain call.
         """
-        if self.capture_mode == "fast":
-            return self._capture_cipher_batch_fast(
-                count, key, nop_header, plaintext
-            )
         oscilloscope = self.oscilloscope
         n32 = self._co_datapath_ops(nop_header)
         # RD-0 plans are deterministic and draw nothing from the TRNG, so
@@ -415,9 +411,9 @@ class SimulatedPlatform:
         self.cipher.encrypt_batch(plaintexts, keys, recorder)
         batch_stream = BatchOpStream.from_recorder(recorder)
         if self.shuffler is not None:
-            # Exact mode: one plan per trace in the scalar order (the
-            # shuffle TRNG is an independent stream, so only its own
-            # per-trace order matters for bit-identity).
+            # One plan per trace in the scalar order (the shuffle TRNG is
+            # an independent stream, so only its own per-trace order
+            # matters for bit-identity).
             self.shuffler.execute_batch(
                 [self.shuffler.plan() for _ in range(count)],
                 batch_stream.values,
@@ -446,59 +442,6 @@ class SimulatedPlatform:
                 co_start=int(marker_samples[b][0]),
                 plaintext=plaintexts[b],
                 key=keys[b],
-            )
-            for b in range(count)
-        ]
-
-    def _capture_cipher_batch_fast(
-        self,
-        count: int,
-        key: bytes | None,
-        nop_header: int,
-        plaintext: bytes | None = None,
-    ) -> list[CipherTrace]:
-        """Bulk-randomness profiling capture (the ``fast`` capture mode)."""
-        block = self.cipher.block_size
-        if plaintext is not None:
-            plaintext_matrix = np.tile(
-                np.frombuffer(plaintext, dtype=np.uint8), (count, 1)
-            )
-        else:
-            plaintext_matrix = self._rng.integers(
-                0, 256, (count, block), dtype=np.uint8
-            )
-        if key is not None:
-            key_matrix = np.frombuffer(key, dtype=np.uint8).reshape(1, -1)
-        else:
-            key_matrix = self._rng.integers(
-                0, 256, (count, self.cipher.key_size), dtype=np.uint8
-            )
-        recorder = BatchLeakageRecorder(count)
-        recorder.record_nops(nop_header)
-        marker_op = len(recorder)
-        self.cipher.encrypt_batch(plaintext_matrix, key_matrix, recorder)
-        batch_stream = BatchOpStream.from_recorder(recorder)
-        if self.shuffler is not None:
-            self.shuffler.execute_batch(
-                self.shuffler.plan_batch(count),
-                batch_stream.values,
-                base=marker_op,
-            )
-        traces, marker_samples = synthesize_traces(
-            batch_stream,
-            np.array([marker_op]),
-            self.countermeasure,
-            self.leakage,
-            self.oscilloscope,
-            self._rng,
-            capture_mode="fast",
-        )
-        return [
-            CipherTrace(
-                trace=traces[b],
-                co_start=int(marker_samples[b][0]),
-                plaintext=plaintext_matrix[b].tobytes(),
-                key=key if key is not None else key_matrix[b].tobytes(),
             )
             for b in range(count)
         ]

@@ -198,21 +198,6 @@ class RandomDelayCountermeasure:
             dummy_kinds=dummy_kinds,
         )
 
-    def plan_batch(self, n_ops: int, batch: int) -> "list[DelayPlan]":
-        """Draw ``batch`` delay plans from bulk TRNG requests.
-
-        The plan-object view of :meth:`plan_batch_stacked` (identical
-        TRNG consumption, each plan a row of views into the stacked
-        arrays).  With the countermeasure off (``max_delay == 0``) plans
-        are deterministic and consume no TRNG, so this path coincides
-        with ``batch`` sequential :meth:`plan` calls.
-        """
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if n_ops == 0 or self.max_delay == 0:
-            return [self.plan(n_ops) for _ in range(batch)]
-        return list(self.plan_batch_stacked(n_ops, batch))
-
     def plan_batch_stacked(self, n_ops: int, batch: int) -> BatchDelayPlans:
         """Draw ``batch`` delay plans as one :class:`BatchDelayPlans`.
 

@@ -127,22 +127,6 @@ class BatchOpStream:
         values, widths, kinds = recorder.as_batch_arrays()
         return cls(values=values, widths=widths, kinds=kinds)
 
-    @classmethod
-    def from_streams(cls, streams: Sequence[OpStream]) -> "BatchOpStream":
-        """Stack per-trace streams that share one width/kind structure."""
-        if not streams:
-            raise ValueError("need at least one stream")
-        widths, kinds = streams[0].widths, streams[0].kinds
-        for stream in streams[1:]:
-            if not (np.array_equal(stream.widths, widths)
-                    and np.array_equal(stream.kinds, kinds)):
-                raise ValueError("streams disagree on op structure; cannot batch")
-        return cls(
-            values=np.stack([s.values for s in streams]),
-            widths=widths,
-            kinds=kinds,
-        )
-
     @property
     def batch_size(self) -> int:
         return int(self.values.shape[0])
@@ -210,7 +194,6 @@ def synthesize_traces(
     rng: np.random.Generator,
     plans: Sequence[DelayPlan] | None = None,
     noise: Sequence[np.ndarray | None] | None = None,
-    capture_mode: str = "exact",
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Synthesise one power trace per row of a batched operation stream.
 
@@ -226,21 +209,11 @@ def synthesize_traces(
         The measurement chain, as in :func:`synthesize_trace`.
     plans:
         Optional pre-drawn per-trace :class:`DelayPlan` list.  When absent,
-        plans are drawn here — trace by trace in ``exact`` mode (the same
-        TRNG consumption order as ``B`` sequential
-        :func:`synthesize_trace` calls), or in one bulk TRNG request per
-        batch in ``fast`` mode.
+        plans are drawn here trace by trace (the same TRNG consumption
+        order as ``B`` sequential :func:`synthesize_trace` calls).
     noise:
         Optional pre-drawn per-trace acquisition noise (see
-        :meth:`Oscilloscope.capture_batch`); ``exact`` mode only.
-    capture_mode:
-        ``"exact"`` (default) consumes every random draw in the scalar
-        path's order, making the result bit-identical to calling
-        :func:`synthesize_trace` per row with the same generators.
-        ``"fast"`` draws the batch's randomness in bulk — one delay-plan
-        TRNG request and one float32 acquisition-noise draw over the
-        concatenated batch — producing a statistically identical but
-        different stream, measurably faster on large batches.
+        :meth:`Oscilloscope.capture_batch`).
 
     Returns
     -------
@@ -248,16 +221,13 @@ def synthesize_traces(
         ``B`` captured traces (float32, per-trace lengths vary with the
         inserted delays) and ``B`` per-trace marker sample arrays.
 
-    Either mode batches the work itself (datapath compilation once,
-    leakage/pulse/ADC over the concatenated batch); with the random-delay
-    countermeasure off the per-trace plan/execute step disappears entirely
-    — the batch already *is* the flat stream, which is bit-identical by
-    construction and therefore shared by both modes.
+    Every random draw is consumed in the scalar path's order, making the
+    result bit-identical to calling :func:`synthesize_trace` per row with
+    the same generators, while the work itself is batched (datapath
+    compilation once, leakage/pulse/ADC over the concatenated batch).
+    With the random-delay countermeasure off the per-trace plan/execute
+    step disappears entirely — the batch already *is* the flat stream.
     """
-    if capture_mode not in ("exact", "fast"):
-        raise ValueError(
-            f"capture_mode must be 'exact' or 'fast', got {capture_mode!r}"
-        )
     batch = stream.batch_size
     n_ops = len(stream)
     if isinstance(markers, np.ndarray):
@@ -289,18 +259,14 @@ def synthesize_traces(
         # flat stream is just the batch matrix read row by row — no plan
         # objects, no per-trace scatter copies, no list concatenation.
         # Bit-identical to the general path (execute() degenerates to a
-        # copy when a plan inserts nothing), hence shared by both modes.
+        # copy when a plan inserts nothing).
         flat_values = values32.reshape(-1)
         flat_kinds = np.tile(kinds32, batch)
         lengths = [n32] * batch
         positions = None      # identity op mapping
     else:
         if plans is None:
-            plans = (
-                countermeasure.plan_batch(n32, batch)
-                if capture_mode == "fast"
-                else [countermeasure.plan(n32) for _ in range(batch)]
-            )
+            plans = [countermeasure.plan(n32) for _ in range(batch)]
         delayed_values: list[np.ndarray] = []
         delayed_kinds: list[np.ndarray] = []
         for b in range(batch):
@@ -314,9 +280,7 @@ def synthesize_traces(
     flat_power = leakage.power(flat_values, flat_kinds)
     splits = np.cumsum(lengths)[:-1]
     powers = np.split(flat_power, splits)
-    traces = oscilloscope.capture_batch(
-        powers, rng, noise=noise, bulk_noise=(capture_mode == "fast")
-    )
+    traces = oscilloscope.capture_batch(powers, rng, noise=noise)
 
     marker_samples: list[np.ndarray] = []
     for b, marks in enumerate(per_trace_markers):
@@ -355,7 +319,7 @@ def synthesize_trace_windows(
     capture cost scales with the window, not the trace.
 
     Plans come from ``plans`` (pre-drawn, e.g. for equivalence testing) or
-    are drawn here via ``countermeasure.plan_batch`` — one bulk TRNG
+    are drawn here via ``countermeasure.plan_batch_stacked`` — one bulk TRNG
     request per batch, the fast capture mode's plan source.  Leave both
     ``None`` (or pass a delay-free countermeasure) for the RD-0 path.
 

@@ -1,4 +1,4 @@
-"""LeakageRecorder / NullRecorder / registry behaviour."""
+"""LeakageRecorder / registry behaviour."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.ciphers import (
     LeakageRecorder,
-    NullRecorder,
     available_ciphers,
     get_cipher,
 )
@@ -53,15 +52,6 @@ class TestLeakageRecorder:
         assert len(rec) == 0
 
 
-class TestNullRecorder:
-    def test_discards_everything(self):
-        rec = NullRecorder()
-        rec.record(1)
-        rec.record_many([1, 2])
-        rec.record_nops(3)
-        assert len(rec) == 0
-
-
 class TestRegistry:
     def test_available_ciphers_complete(self):
         assert set(available_ciphers()) == {"aes", "aes_masked", "clefia", "camellia", "simon"}
@@ -85,5 +75,21 @@ class TestRegistry:
             def encrypt(self, plaintext, key, recorder=None):
                 return plaintext
 
+            def encrypt_batch(self, plaintexts, keys, recorder=None):
+                return plaintexts
+
         with pytest.raises(NotImplementedError):
             Stub().decrypt(bytes(16), bytes(16))
+
+    def test_encrypt_batch_is_required(self):
+        """There is no scalar-loop batch fallback to inherit."""
+        from repro.ciphers.base import TraceableCipher
+
+        class ScalarOnly(TraceableCipher):
+            name = "scalar_only"
+
+            def encrypt(self, plaintext, key, recorder=None):
+                return plaintext
+
+        with pytest.raises(TypeError, match="encrypt_batch"):
+            ScalarOnly()

@@ -166,6 +166,17 @@ class TestEngineGeCurve:
             ExperimentEngine(seed=0).run_ge_curve(
                 ScenarioSpec(), max_traces=100, repetitions=0)
 
+    def test_unbuildable_target_fails_before_dispatch(self):
+        """Jitter under fast capture is a configuration error, not a
+        repetition failure to retry."""
+        from repro.runtime import ExperimentEngine, ScenarioSpec
+
+        engine = ExperimentEngine(seed=0, capture_mode="fast")
+        with pytest.raises(ValueError, match="jitter"):
+            engine.run_ge_curve(
+                ScenarioSpec(cipher="aes", max_delay=0, jitter=10, seed=1),
+                max_traces=100, repetitions=2, segment_length=200)
+
 
 class TestEngineGeCurveWorkers:
     """``run_ge_curve(workers=N)``: repetitions are independent streams,

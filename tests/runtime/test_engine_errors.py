@@ -10,6 +10,7 @@ from repro.attacks.key_rank import (
     geometric_checkpoints,
     next_checkpoint,
 )
+from repro.errors import IncompatibleArtifactError
 from repro.runtime import AttackCampaign, ExperimentEngine, ScenarioSpec
 
 
@@ -118,3 +119,14 @@ class TestEngineParallelWiring:
         assert len(result.true_key) == 4
         assert len(result.records[-1].ranks) == 4
         assert result.recovered_key == result.true_key
+
+    def test_serial_store_refuses_another_capture_mode(self, tmp_path):
+        """Resuming under fast capture would mix two segment streams."""
+        spec = ScenarioSpec(cipher="aes", max_delay=0, seed=5)
+        kwargs = dict(store_dir=tmp_path / "store", segment_length=400,
+                      aggregate=8, rank1_patience=100)
+        ExperimentEngine(capture_mode="exact").run_campaign(spec, 300, **kwargs)
+        with pytest.raises(IncompatibleArtifactError) as refused:
+            ExperimentEngine(capture_mode="fast").run_campaign(
+                spec, 600, **kwargs)
+        assert refused.value.field == "capture_mode"

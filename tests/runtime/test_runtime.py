@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import default_config
+from repro.config import PipelineConfig, default_config
+from repro.evaluation.experiments import train_locator
 from repro.runtime import BatchPlan, ExperimentEngine, ScenarioSpec
 from repro.runtime.engine import ScenarioResult
 
@@ -101,3 +102,42 @@ class TestExperimentEngine:
         platform = engine.platform_for(spec)
         assert platform.oscilloscope.noise_std == 0.25
         assert platform.countermeasure.max_delay == 2
+
+
+#: A locator small enough to train in about a second.
+_TINY = PipelineConfig(
+    cipher="camellia", n_train=128, n_inf=112, stride=16, kernel_size=17,
+    n_start_windows=48, n_rest_windows=48, n_noise_windows=32, epochs=2,
+    start_augmentation=4,
+)
+
+
+def _assert_same_network(a, b):
+    wa, wb = a.cnn.network.state_dict(), b.cnn.network.state_dict()
+    assert wa.keys() == wb.keys()
+    for name in wa:
+        np.testing.assert_array_equal(wa[name], wb[name])
+
+
+class TestDefaultTraining:
+    """Without a provider the engine fits one locator per condition on a
+    clone platform.  Training captures full traces, which are the same
+    stream in both capture modes, so the mode cannot move a locator."""
+
+    @staticmethod
+    def _locator(capture_mode, noise_std):
+        engine = ExperimentEngine(
+            seed=0, config_overrides={"camellia": _TINY},
+            capture_mode=capture_mode,
+        )
+        return engine.locator_for("camellia", 0, noise_std)
+
+    @pytest.mark.parametrize("noise_std", [1.0, 2.0])
+    def test_capture_mode_does_not_move_the_locator(self, noise_std):
+        _assert_same_network(self._locator("fast", noise_std),
+                             self._locator("exact", noise_std))
+
+    def test_default_noise_matches_train_locator(self):
+        reference, _ = train_locator("camellia", max_delay=0, seed=0,
+                                     config=_TINY)
+        _assert_same_network(self._locator("exact", 1.0), reference)

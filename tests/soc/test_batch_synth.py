@@ -9,7 +9,6 @@ from repro.soc import (
     BatchOpStream,
     HammingWeightLeakage,
     Oscilloscope,
-    OpStream,
     RandomDelayCountermeasure,
     SimulatedPlatform,
     synthesize_trace,
@@ -31,20 +30,6 @@ class TestBatchOpStream:
         row = stream.row(2)
         np.testing.assert_array_equal(row.values, stream.values[2])
         assert len(row) == len(stream)
-
-    def test_from_streams_requires_shared_structure(self, rng):
-        stream = _random_batch_stream(rng, batch=2)
-        rows = [stream.row(0), stream.row(1)]
-        rebuilt = BatchOpStream.from_streams(rows)
-        np.testing.assert_array_equal(rebuilt.values, stream.values)
-        other = OpStream(
-            values=rows[0].values,
-            widths=rows[0].widths.copy(),
-            kinds=rows[0].kinds.copy(),
-        )
-        other.widths[0] ^= 1
-        with pytest.raises(ValueError):
-            BatchOpStream.from_streams([rows[0], other])
 
     def test_batched_datapath_matches_scalar(self, rng):
         stream = _random_batch_stream(rng)

@@ -1,12 +1,13 @@
-"""The bulk-randomness ``fast`` capture mode vs the ``exact`` reference.
+"""The windowed ``fast`` capture mode vs the ``exact`` reference.
 
 ``exact`` stays bit-identical to the scalar per-trace path (pinned by the
-pre-existing equivalence suites); these tests pin what ``fast`` promises
-instead: the noiseless measurement chain is *still* bit-identical (bulk
-randomness only changes who draws what, not the datapath), the noisy
-stream is statistically indistinguishable, the mode is deterministic per
-seed, and a seeded RD-0 campaign recovers the identical key in both
-modes.
+pre-existing equivalence suites).  ``fast`` changes attack segments only:
+full traces are the exact stream bit for bit, and for segments these
+tests pin what ``fast`` promises instead: the noiseless measurement chain
+is *still* bit-identical (bulk randomness only changes who draws what,
+not the datapath), the noisy stream is statistically indistinguishable,
+the mode is deterministic per seed, and a seeded RD-0 campaign recovers
+the identical key in both modes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _cipher_stream(count=6, nop_header=32, seed=5):
 class TestPlanBatch:
     def test_rd0_is_the_deterministic_identity(self):
         cm = RandomDelayCountermeasure(0, TrngModel(1))
-        plans = cm.plan_batch(40, 3)
+        plans = list(cm.plan_batch_stacked(40, 3))
         assert len(plans) == 3
         for plan in plans:
             assert plan.total == plan.n_ops == 40
@@ -59,7 +60,7 @@ class TestPlanBatch:
 
     def test_plans_are_structurally_valid(self):
         cm = RandomDelayCountermeasure(4, TrngModel(2))
-        plans = cm.plan_batch(100, 8)
+        plans = list(cm.plan_batch_stacked(100, 8))
         assert len(plans) == 8
         for plan in plans:
             gaps = np.diff(plan.new_positions) - 1
@@ -68,8 +69,8 @@ class TestPlanBatch:
             assert plan.dummy_values.size == plan.dummy_kinds.size == plan.n_dummy
 
     def test_deterministic_per_seed(self):
-        a = RandomDelayCountermeasure(2, TrngModel(7)).plan_batch(60, 4)
-        b = RandomDelayCountermeasure(2, TrngModel(7)).plan_batch(60, 4)
+        a = RandomDelayCountermeasure(2, TrngModel(7)).plan_batch_stacked(60, 4)
+        b = RandomDelayCountermeasure(2, TrngModel(7)).plan_batch_stacked(60, 4)
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.new_positions, pb.new_positions)
             np.testing.assert_array_equal(pa.dummy_values, pb.dummy_values)
@@ -77,7 +78,7 @@ class TestPlanBatch:
     def test_delay_statistics_match_the_scalar_path(self):
         """Bulk-drawn gaps have the same uniform distribution as plan()."""
         cm = RandomDelayCountermeasure(4, TrngModel(3))
-        plans = cm.plan_batch(400, 32)
+        plans = list(cm.plan_batch_stacked(400, 32))
         gaps = np.concatenate([np.diff(p.new_positions) - 1 for p in plans])
         counts = np.bincount(gaps, minlength=5)
         assert counts.min() > 0.7 * gaps.size / 5   # roughly uniform on 0..4
@@ -85,59 +86,7 @@ class TestPlanBatch:
     def test_rejects_bad_batch(self):
         cm = RandomDelayCountermeasure(2, TrngModel(0))
         with pytest.raises(ValueError):
-            cm.plan_batch(10, 0)
-
-
-class TestSynthesizeTracesModes:
-    def test_rejects_unknown_mode(self):
-        stream, marker, platform = _cipher_stream()
-        with pytest.raises(ValueError, match="capture_mode"):
-            synthesize_traces(
-                stream, np.array([marker]), platform.countermeasure,
-                platform.leakage, platform.oscilloscope,
-                np.random.default_rng(0), capture_mode="turbo",
-            )
-
-    def test_noiseless_fast_equals_exact_when_delay_free(self):
-        """Bulk randomness only changes the draws; with none left to draw
-        (RD-0 plans are deterministic, noise off) the modes coincide."""
-        stream, marker, platform = _cipher_stream()
-        scope = Oscilloscope(noise_std=0.0)
-        out = {}
-        for mode in ("exact", "fast"):
-            traces, marks = synthesize_traces(
-                stream, np.array([marker]), platform.countermeasure,
-                platform.leakage, scope, np.random.default_rng(9),
-                capture_mode=mode,
-            )
-            out[mode] = (traces, marks)
-        for te, tf in zip(out["exact"][0], out["fast"][0]):
-            np.testing.assert_array_equal(te, tf)
-        for me, mf in zip(out["exact"][1], out["fast"][1]):
-            np.testing.assert_array_equal(me, mf)
-
-    def test_fast_mode_is_deterministic_per_seed(self):
-        stream, marker, _ = _cipher_stream()
-        cm = RandomDelayCountermeasure(4, TrngModel(5))
-        runs = []
-        for _ in range(2):
-            cm_run = RandomDelayCountermeasure(4, TrngModel(5))
-            traces, _ = synthesize_traces(
-                stream, np.array([marker]), cm_run,
-                _platform().leakage, Oscilloscope(),
-                np.random.default_rng(21), capture_mode="fast",
-            )
-            runs.append(traces)
-        for a, b in zip(*runs):
-            np.testing.assert_array_equal(a, b)
-
-    def test_bulk_noise_refuses_predrawn_noise(self):
-        scope = Oscilloscope()
-        with pytest.raises(ValueError, match="bulk_noise"):
-            scope.capture_batch(
-                [np.ones(16)], np.random.default_rng(0),
-                noise=[np.zeros(32)], bulk_noise=True,
-            )
+            cm.plan_batch_stacked(10, 0)
 
 
 class TestWindowedSynthesis:
@@ -284,8 +233,52 @@ class TestFastVsExactCampaign:
         )
 
 
+class TestFullTracesIgnoreTheMode:
+    @pytest.mark.parametrize("max_delay, shuffle",
+                             [(0, False), (4, False), (0, True)])
+    def test_fast_profiling_captures_equal_exact(self, max_delay, shuffle):
+        captures = {
+            mode: PlatformSpec(
+                cipher_name="aes", max_delay=max_delay, capture_mode=mode,
+                shuffle=shuffle,
+            ).build(13).capture_cipher_traces(5, batch_size=2)
+            for mode in ("exact", "fast")
+        }
+        assert len(captures["fast"]) == len(captures["exact"]) == 5
+        for fast, exact in zip(captures["fast"], captures["exact"]):
+            np.testing.assert_array_equal(fast.trace, exact.trace)
+            assert fast.co_start == exact.co_start
+            assert fast.plaintext == exact.plaintext
+            assert fast.key == exact.key
+
+    @pytest.mark.parametrize("noise_interleaved", [True, False])
+    def test_fast_sessions_equal_exact(self, noise_interleaved):
+        sessions = {
+            mode: _platform(max_delay=4, seed=17, mode=mode)
+            .capture_session_trace(
+                3, noise_interleaved=noise_interleaved,
+                noise_ops=(100, 300), lead_ops=40,
+            )
+            for mode in ("exact", "fast")
+        }
+        fast, exact = sessions["fast"], sessions["exact"]
+        np.testing.assert_array_equal(fast.trace, exact.trace)
+        np.testing.assert_array_equal(fast.true_starts, exact.true_starts)
+        assert fast.plaintexts == exact.plaintexts
+        assert fast.ciphertexts == exact.ciphertexts
+        assert fast.key == exact.key
+
+    def test_fast_noise_traces_equal_exact(self):
+        traces = {
+            mode: _platform(max_delay=4, seed=19, mode=mode)
+            .capture_noise_trace(min_ops=2_000)
+            for mode in ("exact", "fast")
+        }
+        np.testing.assert_array_equal(traces["fast"], traces["exact"])
+
+
 class TestFastModeUnderRandomDelay:
-    """fast mode off the RD-0 window path: bulk plans + bulk noise."""
+    """fast mode under RD-4: full captures and bulk-planned windows."""
 
     def test_rd4_fast_profiling_captures_are_valid_and_deterministic(self):
         a = _platform(max_delay=4, seed=9, mode="fast")

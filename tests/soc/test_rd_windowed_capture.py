@@ -49,7 +49,7 @@ def _windows_and_reference(
     leakage, scope = _noiseless_chain()
     cm = RandomDelayCountermeasure(max_delay, trng=TrngModel(trng_seed))
     n32 = stream.to_datapath_ops()[0].shape[1]
-    plans = cm.plan_batch(n32, stream.batch_size)
+    plans = list(cm.plan_batch_stacked(n32, stream.batch_size))
     rng = np.random.default_rng(0)
 
     windows = synthesize_trace_windows(
@@ -116,7 +116,7 @@ class TestPlanValidation:
         leakage, scope = _noiseless_chain()
         cm = RandomDelayCountermeasure(2, trng=TrngModel(0))
         n32 = stream.to_datapath_ops()[0].shape[1]
-        plans = cm.plan_batch(n32, 3)
+        plans = list(cm.plan_batch_stacked(n32, 3))
         with pytest.raises(ValueError, match="delay plans"):
             synthesize_trace_windows(
                 stream, 0, 8, leakage, scope, np.random.default_rng(0),
@@ -127,7 +127,7 @@ class TestPlanValidation:
         stream = _random_stream(np.random.default_rng(0), batch=4, n_ops=30)
         leakage, scope = _noiseless_chain()
         cm = RandomDelayCountermeasure(2, trng=TrngModel(0))
-        plans = cm.plan_batch(10, 4)
+        plans = list(cm.plan_batch_stacked(10, 4))
         with pytest.raises(ValueError, match="plan was drawn for"):
             synthesize_trace_windows(
                 stream, 0, 8, leakage, scope, np.random.default_rng(0),
